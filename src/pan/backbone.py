@@ -4,7 +4,10 @@ The pipeline is pillarize -> gather -> enhance -> scatter -> conv refine.
 ``enhance`` runs only on the packed tokens, so the attention and MLP cost
 scales with the number of occupied pillars instead of the grid area;
 ``count_work`` makes that ratio explicit. Two-layer convolution afterwards
-halves the spatial dims and triples the channel depth.
+halves the spatial dims and triples the channel depth. It too follows the
+occupied footprint: conv1 multiplies only the occupied pillars and conv2
+only the pooled cells near them, while the constant background costs one
+term per cell. The result is the exact dense "same" convolution.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ from .layers import (
     BatchNormStats,
     LinearParams,
     batch_norm2d,
-    batch_norm2d_backward_inference,
-    conv2d,
-    conv2d_backward,
     dropout,
     gelu,
     gelu_backward,
@@ -32,12 +32,12 @@ from .layers import (
     linear_backward,
     max_pool2d,
     relu,
-    relu_backward,
     softmax_rows,
     softmax_rows_backward,
 )
-from .pillars import PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, gather, init_pfn, pillarize, scatter
-from .tensor import DTYPE, Rng
+from .pillars import (PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, bin_points,
+                      gather, init_pfn, pillarize, scatter)
+from .tensor import DTYPE, Rng, check_finite
 
 
 @dataclass
@@ -57,10 +57,6 @@ class EnhancerConfig:
             raise ValueError("embed_dim must be divisible by num_heads")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-
-    @property
-    def mlp_hidden(self) -> int:
-        return self.embed_dim
 
     @property
     def head_dim(self) -> int:
@@ -252,15 +248,70 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
 # convolution refinement and the full backbone
 # ---------------------------------------------------------------------------
 
+def _sparse_conv(x: np.ndarray, active: np.ndarray, bg: np.ndarray,
+                 kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """'Same' convolution of [H, W, Cin] whose cells off ``active`` all equal ``bg``.
+
+    By linearity conv(x) = conv(bg everywhere) + conv(x - bg). The first term
+    is the bias plus bg @ kernel[a, b] over the taps that land inside the
+    grid; tap validity is separable, so it costs O(H W k Cout). The second is
+    k*k small GEMMs over the active cells, each added into a padded output.
+    Active cells are unique, so no target repeats within one tap.
+    """
+    h, w, _ = x.shape
+    kh, kw, _, cout = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("conv kernel dims must be odd")
+    ph, pw = kh // 2, kw // 2
+    # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b)
+    rows = np.arange(h)[:, None] + np.arange(kh) - ph
+    cols = np.arange(w)[:, None] + np.arange(kw) - pw
+    row_in = ((rows >= 0) & (rows < h)).astype(DTYPE)
+    col_in = ((cols >= 0) & (cols < w)).astype(DTYPE)
+    bg_cols = np.einsum("jb,c,abcd->ajd", col_in, bg, kernel, optimize=True)
+    out = (row_in @ bg_cols.reshape(kh, w * cout)).reshape(h, w, cout)
+    out += bias
+
+    ii, jj = np.nonzero(active)
+    diff = x[ii, jj] - bg
+    wp = w + 2 * pw
+    acc = np.zeros(((h + 2 * ph) * wp, cout), dtype=DTYPE)
+    # input (i', j') reaches padded output (i' - a + 2ph, j' - b + 2pw)
+    base = (ii + 2 * ph) * wp + jj + 2 * pw
+    for a in range(kh):
+        for b in range(kw):
+            acc[base - a * wp - b] += diff @ kernel[a, b]
+    out += acc.reshape(h + 2 * ph, wp, cout)[ph:ph + h, pw:pw + w]
+    return check_finite(out, "conv output")
+
+
 def conv_refine(grid: PillarGrid, params: EnhancerParams,
                 training: bool = False) -> np.ndarray:
-    """conv(C->C) -> batch norm -> relu -> max pool /2 -> conv(C->3C)."""
-    x = conv2d(grid.data, params.conv1.kernel, params.conv1.bias, padding="same")
-    x = batch_norm2d(x, params.conv1.bn_stats, params.conv1.bn_gamma,
-                     params.conv1.bn_beta, training=training)
+    """conv(C->C) -> batch norm -> relu -> max pool /2 -> conv(C->3C).
+
+    Both convolutions are exact and sparse. conv1 multiplies only the
+    occupied pillars, because unmasked cells are zero. Its output off the
+    mask dilated by the kernel is the bias alone, so after batch norm, relu
+    and pooling every pooled cell outside the pooled dilated mask holds one
+    background vector, and conv2 multiplies only the cells inside it.
+    """
+    grid.validate()
+    c1, c2 = params.conv1, params.conv2
+    kh, kw = c1.kernel.shape[:2]
+    x = _sparse_conv(grid.data, grid.mask, np.zeros(grid.channels), c1.kernel, c1.bias)
+    x = batch_norm2d(x, c1.bn_stats, c1.bn_gamma, c1.bn_beta, training=training)
     x = relu(x)
     x = max_pool2d(x, window=2, stride=2)
-    return conv2d(x, params.conv2.kernel, params.conv2.bias, padding="same")
+
+    padded = np.pad(grid.mask, ((kh // 2, kh // 2), (kw // 2, kw // 2)))
+    near = np.zeros_like(grid.mask)
+    for a in range(kh):
+        for b in range(kw):
+            near |= padded[a:a + grid.height, b:b + grid.width]
+    active = max_pool2d(near[..., None].astype(DTYPE), window=2, stride=2)[..., 0] > 0
+    idle = np.flatnonzero(~active)
+    bg = x.reshape(-1, x.shape[2])[idle[0]] if idle.size else np.zeros(x.shape[2])
+    return _sparse_conv(x, active, bg, c2.kernel, c2.bias)
 
 
 def pan_backbone(pc: PointCloud, params: BackboneParams, pillar_cfg: PillarConfig,
@@ -307,19 +358,19 @@ def _token_macs(p: int, channels: int, cfg: EnhancerConfig) -> int:
 def count_work(pc: PointCloud, pillar_cfg: PillarConfig,
                enh_cfg: EnhancerConfig) -> WorkReport:
     """Multiply-accumulate counts for the token path at the actual pillar
-    count P versus the dense equivalent where every cell is a token."""
+    count P versus the dense equivalent where every cell is a token.
+
+    ``conv_macs`` is the dense conv refine's count, the work that the
+    sparse ``conv_refine`` does not do away from the occupied footprint.
+    """
     h, w, c = pillar_cfg.height, pillar_cfg.width, pillar_cfg.out_channels
-    occupied = set()
-    for p in pc.points:
-        j = math.floor((p.x - pillar_cfg.x_min) / pillar_cfg.pillar_size)
-        i = math.floor((p.y - pillar_cfg.y_min) / pillar_cfg.pillar_size)
-        if 0 <= i < h and 0 <= j < w:
-            occupied.add((i, j))
-    p_count = len(occupied)
+    p_count = np.unique(bin_points(pc, pillar_cfg)[1]).size
     k = enh_cfg.conv_kernel
     conv_macs = 0
     if enh_cfg.conv_enabled:
-        conv_macs = h * w * k * k * c * c + (h // 2) * (w // 2) * k * k * c * (3 * c)
+        # conv2 runs on the 2x2-pooled grid, ceil(H/2) x ceil(W/2)
+        conv_macs = (h * w * k * k * c * c
+                     + -(-h // 2) * -(-w // 2) * k * k * c * (3 * c))
     return WorkReport(
         pillar_count=p_count,
         attention_macs=_token_macs(p_count, c, enh_cfg),

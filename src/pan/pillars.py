@@ -161,6 +161,22 @@ def _points_array(pc: PointCloud) -> np.ndarray:
     )
 
 
+def bin_points(pc: PointCloud, cfg: PillarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bin a cloud into pillars: the one rule that decides each point's cell.
+
+    Returns the in-range points as [N, 7] columns (x, y, vx, vy, rcs,
+    sweep_offset, sweep_index) and the row-major cell index i * W + j of
+    each, with j = floor((x - x_min) / pillar_size) and i likewise from y.
+    """
+    pts = _points_array(pc)
+    if not np.all(np.isfinite(pts)):
+        raise FloatingPointError("non-finite radar point fields")
+    j = np.floor((pts[:, 0] - cfg.x_min) / cfg.pillar_size).astype(np.int64)
+    i = np.floor((pts[:, 1] - cfg.y_min) / cfg.pillar_size).astype(np.int64)
+    in_range = (i >= 0) & (i < cfg.height) & (j >= 0) & (j < cfg.width)
+    return pts[in_range], (i * cfg.width + j)[in_range]
+
+
 def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
               training: bool = False) -> PillarGrid:
     """Encode a point cloud into the sparse pseudo-image.
@@ -177,21 +193,11 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     """
     h, w, c = cfg.height, cfg.width, cfg.out_channels
     grid = PillarGrid(data=np.zeros((h, w, c)), mask=np.zeros((h, w), dtype=bool))
-    pts = _points_array(pc)
-    if pts.shape[0] == 0:
+    pts, flat = bin_points(pc, cfg)
+    if flat.size == 0:
         return grid
-    if not np.all(np.isfinite(pts)):
-        raise FloatingPointError("non-finite radar point fields")
 
-    xs, ys = pts[:, 0], pts[:, 1]
-    j = np.floor((xs - cfg.x_min) / cfg.pillar_size).astype(np.int64)
-    i = np.floor((ys - cfg.y_min) / cfg.pillar_size).astype(np.int64)
-    in_range = (i >= 0) & (i < h) & (j >= 0) & (j < w)
-    if not in_range.any():
-        return grid
-    pts, i, j = pts[in_range], i[in_range], j[in_range]
-
-    flat = i * w + j
+    i, j = np.divmod(flat, w)
     center_x = cfg.x_min + (j + 0.5) * cfg.pillar_size
     center_y = cfg.y_min + (i + 0.5) * cfg.pillar_size
     dist2 = (pts[:, 0] - center_x) ** 2 + (pts[:, 1] - center_y) ** 2

@@ -13,15 +13,6 @@ import numpy as np
 DTYPE = np.float64
 
 
-def tensor(values, dtype=DTYPE) -> np.ndarray:
-    """Build a C-contiguous array in the library's working dtype."""
-    return np.ascontiguousarray(np.asarray(values, dtype=dtype))
-
-
-def zeros(shape, dtype=DTYPE) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
 def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     """Raise FloatingPointError if ``x`` contains NaN or Inf."""
     if not np.all(np.isfinite(x)):

@@ -1,5 +1,6 @@
 """Attention and backbone tests against independently coded references."""
 
+import copy
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from pan.backbone import (
     save_params,
     self_attention,
 )
+from pan.layers import BatchNormStats, batch_norm2d, conv2d, max_pool2d, relu
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, pillarize, scatter
 from pan.tensor import Rng
 
@@ -193,6 +195,19 @@ class TestEnhance:
         assert np.all(back.data[~grid.mask] == 0.0)
 
 
+def dense_refine(grid, params, training=False):
+    """The dense composition that the sparse ``conv_refine`` must reproduce."""
+    c1, c2 = params.conv1, params.conv2
+    x = conv2d(grid.data, c1.kernel, c1.bias, padding="same")
+    x = batch_norm2d(x, c1.bn_stats, c1.bn_gamma, c1.bn_beta, training=training)
+    x = max_pool2d(relu(x), window=2, stride=2)
+    return conv2d(x, c2.kernel, c2.bias, padding="same")
+
+
+# one pillar at each corner and at the middle of each edge of a 7 x 8 grid
+BORDER_CELLS = [(0, 0), (0, 4), (0, 7), (3, 0), (3, 7), (6, 0), (6, 4), (6, 7)]
+
+
 class TestConvRefine:
     def _grid(self, data):
         mask = np.any(data != 0.0, axis=2)
@@ -227,6 +242,60 @@ class TestConvRefine:
         x = max_pool_oracle(x)
         want = conv2d_oracle(x, params.conv2.kernel, params.conv2.bias)
         assert np.allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("h, w, occupied, training", [
+        pytest.param(8, 8, 0.0, False, id="empty"),
+        *[pytest.param(7, 8, [cell], False, id=f"pillar-{cell[0]}-{cell[1]}")
+          for cell in BORDER_CELLS],
+        pytest.param(20, 20, 0.05, False, id="sparse-5pct"),
+        pytest.param(8, 8, 1.0, False, id="full"),
+        pytest.param(7, 5, 0.3, False, id="odd-7x5"),
+        pytest.param(1, 1, 1.0, False, id="odd-1x1"),
+        pytest.param(1, 1, 0.0, False, id="odd-1x1-empty"),
+        pytest.param(2, 5, 0.3, False, id="odd-2x5"),
+        pytest.param(20, 20, 0.05, True, id="training-sparse-5pct"),
+        pytest.param(7, 5, 1.0, True, id="training-full-odd"),
+    ])
+    def test_matches_dense_composition(self, h, w, occupied, training):
+        c = 3
+        rng = Rng(100 * h + w)
+        params = init_enhancer(c, EnhancerConfig(embed_dim=8, dropout_p=0.0), rng)
+        assert np.all(params.conv1.bias != 0.0) and np.all(params.conv2.bias != 0.0)
+        # off-centre running stats and signed gamma, so relu clips part of the background
+        params.conv1.bn_stats = BatchNormStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+        params.conv1.bn_gamma = rng.normal(size=c)
+        params.conv1.bn_beta = rng.normal(size=c)
+        if isinstance(occupied, list):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[tuple(np.array(occupied).T)] = True
+        else:
+            mask = rng.random((h, w)) < occupied
+        grid = PillarGrid(data=np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0),
+                          mask=mask)
+        dense_params = copy.deepcopy(params)
+
+        got = conv_refine(grid, params, training=training)
+        want = dense_refine(grid, dense_params, training=training)
+        assert got.shape == want.shape == (-(-h // 2), -(-w // 2), 3 * c)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for name in ("mean", "var"):
+            np.testing.assert_allclose(getattr(params.conv1.bn_stats, name),
+                                       getattr(dense_params.conv1.bn_stats, name),
+                                       rtol=0, atol=1e-10)
+
+    def test_rejects_even_kernel(self):
+        params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0, conv_kernel=2),
+                               Rng(6))
+        grid = PillarGrid(data=np.zeros((4, 4, 2)), mask=np.zeros((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="odd"):
+            conv_refine(grid, params)
+
+    def test_rejects_nonzero_unmasked_cells(self):
+        params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0), Rng(5))
+        data = np.zeros((4, 4, 2))
+        data[1, 2, 0] = 1.0
+        with pytest.raises(ValueError, match="unmasked"):
+            conv_refine(PillarGrid(data=data, mask=np.zeros((4, 4), dtype=bool)), params)
 
 
 class TestBackbone:
@@ -332,6 +401,39 @@ class TestCountWork:
         expected = 2 * p * c * f + 4 * p * f * f + 2 * p * p * f + 2 * p * f * f
         assert work.attention_macs == expected
         assert work.sparse_dense_ratio < 0.01
+
+    def test_conv_macs_match_refine_on_odd_grid(self):
+        # 15 x 15 grid: conv2 runs on the ceil-pooled 8 x 8 grid, not 7 x 7
+        pcfg = small_pillar_cfg(x_min=-7.5, x_max=7.5, y_min=-7.5, y_max=7.5)
+        cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0)
+        params = init_backbone(pcfg, cfg, Rng(0))
+        oh, ow, _ = pan_backbone(PointCloud("f", []), params, pcfg, cfg).shape
+        assert (oh, ow) == (8, 8)
+        c, k = pcfg.out_channels, cfg.conv_kernel
+        work = count_work(PointCloud("f", []), pcfg, cfg)
+        assert work.conv_macs == 15 * 15 * k * k * c * c + oh * ow * k * k * c * 3 * c
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_pillar_count_matches_pillarize(self, seed):
+        # cell corners, cell edges and points outside the range all bin one way
+        pcfg = small_pillar_cfg()
+        cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0)
+        params = init_backbone(pcfg, cfg, Rng(1))
+        rng = Rng(seed)
+        n = int(rng.integers(0, 40))
+        xs = np.where(rng.random(n) < 0.5, rng.integers(-9, 10, n), rng.uniform(-9, 9, n))
+        ys = np.where(rng.random(n) < 0.5, rng.integers(-9, 10, n), rng.uniform(-9, 9, n))
+        pc = PointCloud("f", [RadarPoint(x=float(x), y=float(y), z=0.0, vx=0.0, vy=0.0, rcs=1.0)
+                              for x, y in zip(xs, ys)])
+        grid = pillarize(pc, pcfg, params.pfn)
+        assert count_work(pc, pcfg, cfg).pillar_count == grid.pillar_count
+
+    def test_rejects_non_finite_points(self):
+        pcfg = small_pillar_cfg()
+        pts = [RadarPoint(x=1.0, y=1.0, z=0.0, vx=float("nan"), vy=0.0, rcs=1.0)]
+        with pytest.raises(FloatingPointError):
+            count_work(PointCloud("f", pts), pcfg, EnhancerConfig(embed_dim=8))
 
     def test_monotone_in_points(self):
         pcfg = small_pillar_cfg()
