@@ -53,6 +53,8 @@ class EnhancerConfig:
     dropout_after_softmax: bool = False
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads must be >= 1: {self.num_heads}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -431,7 +433,11 @@ def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> Back
     for rec in records:
         arrays[rec["name"]] = np.array(rec["values"], dtype=DTYPE).reshape(rec["shape"])
     params = init_backbone(pillar_cfg, enh_cfg, Rng(0))
-    for name, current in _named_arrays(params):
+    named = _named_arrays(params)
+    unknown = sorted(set(arrays) - {name for name, _ in named})
+    if unknown:
+        raise ValueError(f"parameter file has unknown names: {', '.join(map(repr, unknown))}")
+    for name, current in named:
         if name not in arrays:
             raise ValueError(f"parameter file missing {name!r}")
         if arrays[name].shape != current.shape:

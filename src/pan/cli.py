@@ -63,6 +63,20 @@ def _load_or_init_params(spec: str, pillar_cfg, enh_cfg):
     return load_params(spec, pillar_cfg, enh_cfg)
 
 
+def _backbone_inputs(args, save_params_path=None):
+    """Configs, parameters and point clouds shared by ``backbone`` and ``bench``."""
+    pillar_cfg, enh_cfg = _load_backbone_config(args.config)
+    if args.no_conv:
+        enh_cfg = dataclasses.replace(enh_cfg, conv_enabled=False)
+    params = _load_or_init_params(args.params, pillar_cfg, enh_cfg)
+    if save_params_path:
+        save_params(save_params_path, params)
+    clouds = pio.read_points_jsonl(args.points)
+    if not clouds:
+        raise ValueError("points file holds no frames")
+    return pillar_cfg, enh_cfg, params, clouds
+
+
 def _frame_path(base: Path, frame_id: str, multi: bool) -> Path:
     if not multi:
         return base
@@ -103,15 +117,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_backbone(args) -> int:
-    pillar_cfg, enh_cfg = _load_backbone_config(args.config)
-    if args.no_conv:
-        enh_cfg = dataclasses.replace(enh_cfg, conv_enabled=False)
-    params = _load_or_init_params(args.params, pillar_cfg, enh_cfg)
-    if args.save_params:
-        save_params(args.save_params, params)
-    clouds = pio.read_points_jsonl(args.points)
-    if not clouds:
-        raise ValueError("points file holds no frames")
+    pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args, args.save_params)
 
     def run(cloud):
         return pan_backbone(cloud, params, pillar_cfg, enh_cfg, training=False)
@@ -137,7 +143,10 @@ def cmd_backbone(args) -> int:
 
 def _parse_range(text: str) -> tuple:
     lo, _, hi = text.partition(":")
-    return (float(lo), float(hi))
+    try:
+        return (float(lo), float(hi))
+    except ValueError:
+        raise ValueError(f"--range must be lo:hi in metres, e.g. 0:25, got {text!r}") from None
 
 
 def cmd_eval(args) -> int:
@@ -161,13 +170,7 @@ def cmd_nds(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    pillar_cfg, enh_cfg = _load_backbone_config(args.config)
-    if args.no_conv:
-        enh_cfg = dataclasses.replace(enh_cfg, conv_enabled=False)
-    params = _load_or_init_params(args.params, pillar_cfg, enh_cfg)
-    clouds = pio.read_points_jsonl(args.points)
-    if not clouds:
-        raise ValueError("points file holds no frames")
+    pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args)
     for cloud in clouds:
         work = count_work(cloud, pillar_cfg, enh_cfg)
         times = []

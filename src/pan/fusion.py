@@ -130,18 +130,11 @@ def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
 
 def _normalized_weights(logits: np.ndarray, params: McdaParams) -> np.ndarray:
     """Softmax over sampling weights: [Nq, H, M, K] -> same, rows summing to 1."""
-    nq = logits.shape[0]
     h, m, k = params.heads, params.modalities, params.points_per_head
-    logits = logits.reshape(nq, h, m, k)
-    if params.normalize_jointly:
-        flat = logits.reshape(nq * h, m * k)
-        flat = np.exp(flat - flat.max(axis=1, keepdims=True))
-        flat /= flat.sum(axis=1, keepdims=True)
-        return flat.reshape(nq, h, m, k)
-    flat = logits.reshape(nq * h * m, k)
+    flat = logits.reshape(-1, m * k if params.normalize_jointly else k)
     flat = np.exp(flat - flat.max(axis=1, keepdims=True))
     flat /= flat.sum(axis=1, keepdims=True)
-    return flat.reshape(nq, h, m, k)
+    return flat.reshape(logits.shape[0], h, m, k)
 
 
 def mdca(query_feats: np.ndarray, ref_points: np.ndarray,

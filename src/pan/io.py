@@ -100,11 +100,15 @@ def write_boxes_jsonl(path, frames) -> None:
 def read_boxes_jsonl(path) -> list[FrameAnnotations]:
     frames: dict[str, FrameAnnotations] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if rec["role"] not in ("gt", "pred"):
+                raise ValueError(
+                    f"{path}:{lineno}: field 'role' must be 'gt' or 'pred', got {rec['role']!r}"
+                )
             frame = frames.setdefault(
                 rec["frame"],
                 FrameAnnotations(frame_id=rec["frame"], condition=rec["condition"]),

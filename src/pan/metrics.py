@@ -100,8 +100,11 @@ class EvalConfig:
     tp_threshold_m: float = 2.0
 
     def __post_init__(self):
-        if list(self.match_thresholds_m) != sorted(self.match_thresholds_m):
-            raise ValueError("match thresholds must be ascending")
+        thr = list(self.match_thresholds_m)
+        if not thr or not all(a < b for a, b in zip([0.0] + thr, thr)):
+            raise ValueError(f"match_thresholds_m must be positive and strictly ascending: {thr}")
+        if not self.tp_threshold_m > 0:
+            raise ValueError(f"tp_threshold_m must be positive: {self.tp_threshold_m}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,26 +152,23 @@ def _class_boxes(frame: FrameAnnotations, class_name: str):
 # average precision
 # ---------------------------------------------------------------------------
 
-def average_precision(frames: list[FrameAnnotations], class_name: str,
-                      threshold_m: float, cfg: EvalConfig) -> float | None:
-    """101-point interpolated AP for one class and distance threshold.
-
-    Returns None when the class has no ground truth (undefined, excluded
-    from mAP); 0.0 when ground truth exists but nothing scores.
-    """
+def _match_class(frames: list[FrameAnnotations], class_name: str,
+                 threshold_m: float, cfg: EvalConfig):
+    """AP and matched (pred, gt) pairs of one class, in frame then match order."""
     n_pos = 0
     scored: list[tuple[float, bool]] = []  # (score, is_true_positive)
+    pairs: list[tuple[Box3D, Box3D]] = []
     for frame in frames:
         gt, pred = _class_boxes(frame, class_name)
         n_pos += len(gt)
-        matches, unmatched_pred, _ = match_frame(gt, pred, threshold_m)
+        matches, _, _ = match_frame(gt, pred, threshold_m)
+        pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
         matched_pred = {pi for pi, _ in matches}
-        for pi, p in enumerate(pred):
-            scored.append((p.score or 0.0, pi in matched_pred))
+        scored.extend((p.score or 0.0, pi in matched_pred) for pi, p in enumerate(pred))
     if n_pos == 0:
-        return None
+        return None, pairs
     if not scored:
-        return 0.0
+        return 0.0, pairs
     scored.sort(key=lambda sc: -sc[0])
     tp = np.cumsum([1.0 if hit else 0.0 for _, hit in scored])
     fp = np.cumsum([0.0 if hit else 1.0 for _, hit in scored])
@@ -179,7 +179,17 @@ def average_precision(frames: list[FrameAnnotations], class_name: str,
     start = round(100 * cfg.min_recall) + 1
     clipped = np.maximum(interp[start:] - cfg.min_precision, 0.0)
     # guard the [0, 1] range against float round-off in the normalization
-    return float(min(1.0, clipped.mean() / (1.0 - cfg.min_precision)))
+    return float(min(1.0, clipped.mean() / (1.0 - cfg.min_precision))), pairs
+
+
+def average_precision(frames: list[FrameAnnotations], class_name: str,
+                      threshold_m: float, cfg: EvalConfig) -> float | None:
+    """101-point interpolated AP for one class and distance threshold.
+
+    Returns None when the class has no ground truth (undefined, excluded
+    from mAP); 0.0 when ground truth exists but nothing scores.
+    """
+    return _match_class(frames, class_name, threshold_m, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +303,8 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     explicit ``empty`` marker rather than zero metrics.
     """
     band = tuple(range_band if range_band is not None else cfg.range_filter)
+    if not band[0] < band[1]:
+        raise ValueError(f"range band must have lo < hi, got {band[0]:g}:{band[1]:g}")
     if condition is not None and condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     selected = [f for f in frames if condition is None or f.condition == condition]
@@ -317,24 +329,17 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
         )
 
     ap: dict = {}
-    match_counts = {t: 0 for t in cfg.match_thresholds_m}
-    for cls in classes_present:
-        ap[cls] = {}
-        for thr in cfg.match_thresholds_m:
-            ap[cls][thr] = average_precision(clipped, cls, thr, cfg)
-            for frame in clipped:
-                gt, pred = _class_boxes(frame, cls)
-                matches, _, _ = match_frame(gt, pred, thr)
-                match_counts[thr] += len(matches)
-
     class_tp: dict = {}
+    match_counts = {t: 0 for t in cfg.match_thresholds_m}
+    thresholds = sorted(set(cfg.match_thresholds_m) | {cfg.tp_threshold_m})
     for cls in classes_present:
-        pairs = []
-        for frame in clipped:
-            gt, pred = _class_boxes(frame, cls)
-            matches, _, _ = match_frame(gt, pred, cfg.tp_threshold_m)
-            pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
-        class_tp[cls] = tp_errors(pairs, cls)
+        for thr in thresholds:
+            cls_ap, pairs = _match_class(clipped, cls, thr, cfg)
+            if thr in match_counts:
+                ap.setdefault(cls, {})[thr] = cls_ap
+                match_counts[thr] += len(pairs)
+            if thr == cfg.tp_threshold_m:
+                class_tp[cls] = tp_errors(pairs, cls)
 
     ap_values = [v for per_thr in ap.values() for v in per_thr.values() if v is not None]
     mean_ap = float(np.mean(ap_values))

@@ -63,6 +63,8 @@ class PillarConfig:
     def __post_init__(self):
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("empty BEV range")
+        if not self.pillar_size > 0:
+            raise ValueError(f"pillar_size must be positive: {self.pillar_size}")
         for span, name in ((self.x_max - self.x_min, "x"), (self.y_max - self.y_min, "y")):
             cells = span / self.pillar_size
             if abs(cells - round(cells)) > 1e-9:

@@ -1,6 +1,7 @@
 """Attention and backbone tests against independently coded references."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -470,3 +471,20 @@ class TestParamsIO:
         other_cfg = EnhancerConfig(embed_dim=16, dropout_p=0.0)
         with pytest.raises(ValueError):
             load_params(path, pcfg, other_cfg)
+
+    def test_load_rejects_unknown_name(self, tmp_path):
+        pcfg = small_pillar_cfg()
+        cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0)
+        path = tmp_path / "params.json"
+        save_params(path, init_backbone(pcfg, cfg, Rng(35)))
+        records = json.loads(path.read_text())
+        records.append({"name": "bogus", "shape": [1], "values": [0.0]})
+        path.write_text(json.dumps(records))
+        with pytest.raises(ValueError, match="bogus"):
+            load_params(path, pcfg, cfg)
+
+
+class TestConfigValidation:
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ValueError, match="num_heads"):
+            EnhancerConfig(num_heads=0)

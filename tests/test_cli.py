@@ -1,11 +1,13 @@
 """Command-line interface tests (in-process via main())."""
 
+import hashlib
 import json
 
 import pytest
 
 from pan.cli import main
 from pan.io import read_feature_map
+from pan.metrics import CONDITIONS
 
 
 def run(args, capsys):
@@ -163,6 +165,21 @@ class TestEval:
         assert code == 0
         assert "(empty split)" in out
 
+    @pytest.mark.parametrize("band", ["25", "a:b", "0:25:50"])
+    def test_malformed_range_names_flag(self, capsys, scene_files, band):
+        _, boxes = scene_files
+        code, out, err = run(["eval", "--boxes", str(boxes), "--range", band], capsys)
+        assert code == 1 and "NDS" not in out
+        assert err.count("\n") == 1
+        assert err.startswith("error: --range must be lo:hi")
+
+    @pytest.mark.parametrize("band", ["25:10", "10:10"])
+    def test_empty_range_rejected(self, capsys, scene_files, band):
+        _, boxes = scene_files
+        code, out, err = run(["eval", "--boxes", str(boxes), "--range", band], capsys)
+        assert code == 1 and "NDS" not in out
+        assert err.startswith("error: range band must have lo < hi")
+
 
 class TestNds:
     def test_published_row(self, capsys):
@@ -207,3 +224,62 @@ class TestSafety:
         code, _, err = run(["safety", "--speed-kmh", "50", "--mu", "0"], capsys)
         assert code == 1
         assert "error:" in err
+
+
+class TestEvalGolden:
+    """``pan eval`` output pinned byte for byte across the five common splits."""
+
+    SPEC = {
+        "scene": {"n_objects": 20, "n_frames": 6, "position_range": 45.0,
+                  "n_sweeps": 1, "clutter_rate": 0.0},
+        "perturb": {"translation_sigma": 0.6, "scale_sigma": 0.1, "yaw_sigma": 0.2,
+                    "velocity_sigma": 0.4, "drop_prob": 0.1, "fp_rate": 3.0,
+                    "attr_flip_prob": 0.1},
+    }
+    SPLITS = {
+        "all": [],
+        "0:25": ["--range", "0:25"],
+        "25:50": ["--range", "25:50"],
+        "rain": ["--condition", "rain"],
+        "night": ["--condition", "night"],
+    }
+    # sha256 of (report file, stdout) per split, recorded before evaluate was
+    # reduced to one matching pass per (frame, class, threshold)
+    GOLDEN = {
+        "all": ("5feb378bd971aace25a185222dbd338fac889c2577f4f0e57bc7abb79d56a5d3",
+                "383205920e7cdbde6ea6abf6dbdb425166caffbe4bf7c9f2218ae9f92c7c7399"),
+        "0:25": ("1ea683d99ce1eeb22a646374c3e083d5aee121de6d223b1597a0800590263a5f",
+                 "d4481e668b245dd8de43846e3cd82a7faa22e341ac058af2b8615c9cb2e7434b"),
+        "25:50": ("42bb056646080137d4b7f6b5854295f74ef0f813cbbacbc434064bbbbcb22277",
+                  "2e560043ce7e92acd2c24c30cb61ff74d71d383e76819c04b03353c19c3e9442"),
+        "rain": ("0879511b0098fc32e74bdcd1babf37dd60de2beaa300eb829a08ee886990c06e",
+                 "ca09a1317cfd5dd33d0b5987c961958644cb6fa1b5acba98e47f922d9a6cb2a3"),
+        "night": ("077cbb12d6fa6b8d02b1631aa813e242394e3c8db9a3418b7105a933387830a4",
+                  "052c8abb46ab8d32af520c9d280536b10545a9f98803511ed7bdafd8c6fb4830"),
+    }
+
+    @classmethod
+    def outputs(cls, tmp_path, capsys) -> dict:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(cls.SPEC))
+        points, boxes = tmp_path / "points.jsonl", tmp_path / "boxes.jsonl"
+        code, _, _ = run(["gen", "--spec", str(spec_path), "--seed", "11",
+                          "--out-points", str(points), "--out-boxes", str(boxes)], capsys)
+        assert code == 0
+        # gen tags every frame with one condition: spread the frames over all three
+        records = [json.loads(line) for line in boxes.read_text().splitlines()]
+        for rec in records:
+            rec["condition"] = CONDITIONS[int(rec["frame"].rsplit("_", 1)[1]) % 3]
+        boxes.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = {}
+        for split, flags in cls.SPLITS.items():
+            report = tmp_path / f"report_{split.replace(':', '_')}.json"
+            code, stdout, err = run(["eval", "--boxes", str(boxes), "--report", str(report),
+                                     *flags], capsys)
+            assert code == 0, err
+            out[split] = (hashlib.sha256(report.read_bytes()).hexdigest(),
+                          hashlib.sha256(stdout.encode()).hexdigest())
+        return out
+
+    def test_reports_and_tables_byte_identical(self, tmp_path, capsys):
+        assert self.outputs(tmp_path, capsys) == self.GOLDEN

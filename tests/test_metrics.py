@@ -7,6 +7,7 @@ fractions, and the single-frame report is derived pair by pair.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -321,3 +322,70 @@ class TestEvaluate:
         table = format_report_table(report)
         assert "NDS" in table and "mATE" in table
         assert f"{100 * report.nds:.1f}" in table
+
+    def _mixed_frames(self):
+        frames = []
+        for k in range(3):
+            gt = [car(5 + k, 0), car(20, 3 + k), car(-8, k, cls="pedestrian", w=0.6, l=0.7,
+                                                     attr="pedestrian.moving")]
+            pred = [car(5.4 + k, 0, score=0.9), car(22.5, 3 + k, score=0.6, yaw=0.3, vx=1.0),
+                    car(-7, k + 0.2, score=0.8, cls="pedestrian", w=0.6, l=0.7,
+                        attr="pedestrian.standing"),
+                    car(30, -30, score=0.3)]
+            frames.append(FrameAnnotations(f"f{k}", "day", gt=gt, pred=pred))
+        return frames
+
+    def test_matches_once_per_frame_class_threshold(self, monkeypatch):
+        import pan.metrics
+
+        seen = Counter()
+        real = pan.metrics.match_frame
+
+        def counting(gt, pred, threshold_m):
+            seen[(tuple(map(id, gt + pred)), threshold_m)] += 1
+            return real(gt, pred, threshold_m)
+
+        monkeypatch.setattr(pan.metrics, "match_frame", counting)
+        frames = self._mixed_frames()
+        for cfg in (self.CFG, EvalConfig(tp_threshold_m=3.0)):
+            seen.clear()
+            evaluate(frames, cfg)
+            n_thresholds = len(set(cfg.match_thresholds_m) | {cfg.tp_threshold_m})
+            assert set(seen.values()) == {1}
+            assert len(seen) == len(frames) * 2 * n_thresholds  # car and pedestrian
+
+    def test_tp_threshold_outside_ap_thresholds(self):
+        cfg = EvalConfig(tp_threshold_m=3.0)
+        frames = self._mixed_frames()
+        report = evaluate(frames, cfg)
+        for cls in ("car", "pedestrian"):
+            pairs = []
+            for frame in frames:
+                gt = [b for b in frame.gt if b.class_name == cls]
+                pred = [b for b in frame.pred if b.class_name == cls]
+                matches, _, _ = match_frame(gt, pred, 3.0)
+                pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
+            assert report.class_tp[cls] == tp_errors(pairs, cls)
+            assert list(report.ap[cls]) == list(cfg.match_thresholds_m)
+        # the 2.5 m car offset matches at 3 m but not at 2 m
+        assert report.class_tp["car"] != evaluate(frames, self.CFG).class_tp["car"]
+        assert list(report.match_counts) == list(cfg.match_thresholds_m)
+
+    def test_empty_or_inverted_band_rejected(self):
+        for band in ((25.0, 10.0), (10.0, 10.0)):
+            with pytest.raises(ValueError, match="range band"):
+                evaluate(self._two_band_frame(), self.CFG, range_band=band)
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("thresholds", [
+        (1.0, 1.0, 2.0), (2.0, 1.0), (0.0, 1.0), (-0.5, 1.0), (), (float("nan"),),
+    ])
+    def test_thresholds_must_be_positive_and_strictly_ascending(self, thresholds):
+        with pytest.raises(ValueError, match="match_thresholds_m"):
+            EvalConfig(match_thresholds_m=thresholds)
+
+    @pytest.mark.parametrize("tp", [0.0, -2.0, float("nan")])
+    def test_tp_threshold_must_be_positive(self, tp):
+        with pytest.raises(ValueError, match="tp_threshold_m"):
+            EvalConfig(tp_threshold_m=tp)

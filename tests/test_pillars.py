@@ -212,3 +212,10 @@ class TestGatherScatter:
                           z=0.0, vx=1.0, vy=1.0, rcs=1.0) for _ in range(30)]
         grid = pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, rng))
         grid.validate()
+
+
+class TestPillarConfig:
+    @pytest.mark.parametrize("size", [0.0, -1.0])
+    def test_non_positive_pillar_size_rejected(self, size):
+        with pytest.raises(ValueError, match="pillar_size"):
+            small_cfg(pillar_size=size)

@@ -189,6 +189,18 @@ class TestJsonl:
         assert list(gt_rec) == ["frame", "role", "class", "cx", "cy", "cz", "w", "l",
                                 "h", "yaw", "vx", "vy", "attr", "condition"]
 
+    def test_boxes_unknown_role_rejected(self, tmp_path):
+        _, gt = generate_scene(SceneSpec(n_objects=2), Rng(15))
+        path = tmp_path / "boxes.jsonl"
+        write_boxes_jsonl(path, [FrameAnnotations("frame_000", "day", gt=gt)])
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["role"] = "foo"
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:2: field 'role'"):
+            read_boxes_jsonl(path)
+
 
 class TestFeatureMapFormat:
     def test_panf_round_trip(self, tmp_path):
