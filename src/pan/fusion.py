@@ -2,22 +2,21 @@
 
 Two feature maps living on (possibly different-resolution) BEV grids are
 merged per query cell: each attention head samples K fractional locations
-per modality around the query's reference point, value-projects the
-samples, mixes them with softmax weights, and projects the per-head sums
-to the output. Reference points and offsets are expressed in normalized
-[0, 1]^2 coordinates; each map's own scaling to pixels handles resolution
-mismatch.
+per modality around the query's reference point, mixes the bilinear
+samples with softmax weights, value-projects the mix, and projects the
+per-head sums to the output. Reference points and offsets are expressed
+in normalized [0, 1]^2 coordinates; each map's own scaling to pixels
+handles resolution mismatch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import LinearParams, init_linear, linear
-from .tensor import DTYPE, Rng
+from .tensor import DTYPE, Rng, check_finite
 
 
 @dataclass
@@ -67,20 +66,34 @@ def occupancy_head(feat: BevFeatureMap, params: LinearParams,
     return OccupancyMap(probs=probs, threshold=threshold)
 
 
-def bilinear_sample(feat: BevFeatureMap, p) -> np.ndarray:
-    """Sample [C] features at normalized (x, y) in [0, 1]^2.
+def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """sum_s weights[r, s] * bilinear(feat, pts[r, s]): [R, S, 2], [R, S] -> [R, C].
 
-    (0, 0) and (1, 1) are the first and last cell centers; x runs along
-    width. Out-of-range points clamp to the border.
+    Coordinates are normalized (x, y); (0, 0) and (1, 1) are the first and
+    last cell centers and x runs along width. Out-of-range points clamp to
+    the border; NaN raises.
     """
-    x = min(max(float(p[0]), 0.0), 1.0) * (feat.width - 1)
-    y = min(max(float(p[1]), 0.0), 1.0) * (feat.height - 1)
-    j0, i0 = int(math.floor(x)), int(math.floor(y))
-    j1, i1 = min(j0 + 1, feat.width - 1), min(i0 + 1, feat.height - 1)
+    pts = check_finite(np.clip(pts, 0.0, 1.0), "sample locations")
+    h, w = feat.height, feat.width
+    x, y = pts[..., 0] * (w - 1), pts[..., 1] * (h - 1)
+    j0, i0 = np.floor(x).astype(np.intp), np.floor(y).astype(np.intp)
+    j1, i1 = np.minimum(j0 + 1, w - 1), np.minimum(i0 + 1, h - 1)
     fx, fy = x - j0, y - i0
-    top = (1 - fx) * feat.data[i0, j0] + fx * feat.data[i0, j1]
-    bot = (1 - fx) * feat.data[i1, j0] + fx * feat.data[i1, j1]
-    return (1 - fy) * top + fy * bot
+    corners = ((i0 * w + j0, (1 - fx) * (1 - fy)), (i0 * w + j1, fx * (1 - fy)),
+               (i1 * w + j0, (1 - fx) * fy), (i1 * w + j1, fx * fy))
+    flat = feat.data.reshape(-1, feat.channels)
+    out = np.zeros((pts.shape[0], feat.channels))
+    for s in range(pts.shape[1]):
+        for cell, coef in corners:
+            out += (weights[:, s] * coef[:, s])[:, None] * flat[cell[:, s]]
+    return out
+
+
+def bilinear_sample(feat: BevFeatureMap, p) -> np.ndarray:
+    """Sample [C] features at normalized (x, y); see ``_weighted_samples``."""
+    return _weighted_samples(feat, np.asarray(p, dtype=DTYPE).reshape(1, 1, 2),
+                             np.ones((1, 1)))[0]
 
 
 @dataclass
@@ -148,6 +161,10 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
     are output-projected and summed:
 
         out_q = sum_h W_h [ sum_m sum_k A_hmqk * W'_hm * x_m(phi_m(p_q + dp_hmqk)) ]
+
+    The value projection is affine, so each (head, modality) first sums
+    the samples of all queries under their weights and then projects the
+    [Nq, C_m] sum once; memory stays O(Nq * C) per head.
     """
     if len(maps) != params.modalities:
         raise ValueError(
@@ -156,21 +173,26 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
     query_feats = np.asarray(query_feats, dtype=DTYPE)
     ref_points = np.asarray(ref_points, dtype=DTYPE)
     nq = query_feats.shape[0]
+    if ref_points.shape != (nq, 2):
+        raise ValueError(
+            f"ref_points must be [{nq}, 2], one (x, y) per query, got {list(ref_points.shape)}"
+        )
+    for mod, feat in enumerate(maps):
+        for row in params.value_proj:
+            if row[mod].in_dim != feat.channels:
+                raise ValueError(f"map {mod} has {feat.channels} channels, "
+                                 f"its value projection expects {row[mod].in_dim}")
     h, m, k = params.heads, params.modalities, params.points_per_head
     offsets = linear(query_feats, params.offset_net).reshape(nq, h, m, k, 2)
     weights = _normalized_weights(linear(query_feats, params.weight_net), params)
     if capture is not None:
         capture["weights"] = weights
-    out_dim = params.out_proj[0].out_dim
-    out = np.zeros((nq, out_dim))
-    for q in range(nq):
-        for hd in range(h):
-            head_acc = np.zeros(params.out_proj[hd].in_dim)
-            for mod in range(m):
-                for kk in range(k):
-                    loc = ref_points[q] + offsets[q, hd, mod, kk]
-                    sample = bilinear_sample(maps[mod], loc)
-                    projected = linear(sample[None, :], params.value_proj[hd][mod])[0]
-                    head_acc += weights[q, hd, mod, kk] * projected
-            out[q] += linear(head_acc[None, :], params.out_proj[hd])[0]
-    return out
+    out = np.zeros((nq, params.out_proj[0].out_dim))
+    for hd in range(h):
+        head_acc = np.zeros((nq, params.out_proj[hd].in_dim))
+        for mod in range(m):
+            vp, w = params.value_proj[hd][mod], weights[:, hd, mod]
+            summed = _weighted_samples(maps[mod], ref_points[:, None] + offsets[:, hd, mod], w)
+            head_acc += summed @ vp.weight + w.sum(axis=1)[:, None] * vp.bias
+        out += linear(head_acc, params.out_proj[hd])
+    return check_finite(out, "mdca output")

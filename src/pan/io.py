@@ -45,21 +45,37 @@ def write_points_jsonl(path, clouds) -> None:
                 fh.write("\n")
 
 
+def _record_error(path, lineno: int, exc: Exception) -> ValueError:
+    """The one-line error for a bad JSONL record: file, 1-based line, what is wrong."""
+    if isinstance(exc, json.JSONDecodeError):
+        what = f"invalid JSON ({exc.msg})"
+    elif isinstance(exc, KeyError):
+        what = f"missing field {exc.args[0]!r}"
+    elif isinstance(exc, TypeError):
+        what = f"malformed record ({exc})"
+    else:
+        what = str(exc)
+    return ValueError(f"{path}:{lineno}: {what}")
+
+
 def read_points_jsonl(path) -> list[PointCloud]:
     """Group records into clouds, frames in first-appearance order."""
     clouds: dict[str, PointCloud] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            cloud = clouds.setdefault(rec["frame"], PointCloud(frame_id=rec["frame"]))
-            cloud.points.append(RadarPoint(
-                x=rec["x"], y=rec["y"], z=rec["z"],
-                vx=rec["vx"], vy=rec["vy"], rcs=rec["rcs"],
-                sweep_offset=rec["dt"], sweep_index=rec["sweep"],
-            ))
+            try:
+                rec = json.loads(line)
+                cloud = clouds.setdefault(rec["frame"], PointCloud(frame_id=rec["frame"]))
+                cloud.points.append(RadarPoint(
+                    x=rec["x"], y=rec["y"], z=rec["z"],
+                    vx=rec["vx"], vy=rec["vy"], rcs=rec["rcs"],
+                    sweep_offset=rec["dt"], sweep_index=rec["sweep"],
+                ))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _record_error(path, lineno, exc) from None
     return list(clouds.values())
 
 
@@ -104,23 +120,26 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec["role"] not in ("gt", "pred"):
-                raise ValueError(
-                    f"{path}:{lineno}: field 'role' must be 'gt' or 'pred', got {rec['role']!r}"
+            try:
+                rec = json.loads(line)
+                if rec["role"] not in ("gt", "pred"):
+                    raise ValueError(
+                        f"field 'role' must be 'gt' or 'pred', got {rec['role']!r}"
+                    )
+                frame = frames.setdefault(
+                    rec["frame"],
+                    FrameAnnotations(frame_id=rec["frame"], condition=rec["condition"]),
                 )
-            frame = frames.setdefault(
-                rec["frame"],
-                FrameAnnotations(frame_id=rec["frame"], condition=rec["condition"]),
-            )
-            frame.condition = rec["condition"]
-            box = Box3D(
-                x=rec["cx"], y=rec["cy"], z=rec["cz"],
-                w=rec["w"], l=rec["l"], h=rec["h"],
-                yaw=rec["yaw"], vx=rec["vx"], vy=rec["vy"],
-                class_name=rec["class"], attribute=rec["attr"],
-                score=rec.get("score"),
-            )
+                frame.condition = rec["condition"]
+                box = Box3D(
+                    x=rec["cx"], y=rec["cy"], z=rec["cz"],
+                    w=rec["w"], l=rec["l"], h=rec["h"],
+                    yaw=rec["yaw"], vx=rec["vx"], vy=rec["vy"],
+                    class_name=rec["class"], attribute=rec["attr"],
+                    score=rec.get("score"),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _record_error(path, lineno, exc) from None
             (frame.pred if rec["role"] == "pred" else frame.gt).append(box)
     return list(frames.values())
 
@@ -142,13 +161,18 @@ def write_feature_map(path, data: np.ndarray) -> None:
 
 def read_feature_map(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PANF_MAGIC:
-            raise ValueError(f"not a PANF file (magic {magic!r})")
-        h, w, c = struct.unpack("<III", fh.read(12))
-        buf = fh.read(h * w * c * 4)
-    if len(buf) != h * w * c * 4:
-        raise ValueError("truncated PANF payload")
+        head = fh.read(16)
+        if head[:4] != PANF_MAGIC:
+            raise ValueError(f"{path}: not a PANF file (magic {head[:4]!r})")
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated PANF header ({len(head)} of 16 bytes)")
+        h, w, c = struct.unpack("<III", head[4:])
+        need = h * w * c * 4
+        buf = fh.read(need + 1)  # one byte more shows trailing data
+    if len(buf) != need:
+        problem = ("truncated PANF payload" if len(buf) < need
+                   else "trailing bytes after PANF payload")
+        raise ValueError(f"{path}: {problem} ({h}x{w}x{c} float32 needs {need} bytes)")
     return np.frombuffer(buf, dtype="<f4").reshape(h, w, c).astype(DTYPE)
 
 

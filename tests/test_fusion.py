@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pan.fusion
 from pan.fusion import BevFeatureMap, McdaParams, bilinear_sample, init_mcda, mdca, occupancy_head
 from pan.layers import LinearParams
 from pan.tensor import Rng
@@ -26,8 +27,12 @@ def bilinear_oracle(feat, p):
     return out
 
 
-def mdca_oracle(query_feats, ref_points, maps, params: McdaParams):
-    """Triple-loop evaluation of the cross-attention sum."""
+def mdca_oracle(query_feats, ref_points, maps, params: McdaParams, per_modality=False):
+    """Triple-loop evaluation of the cross-attention sum.
+
+    Weights are a softmax over each (query, head)'s modality x point logits,
+    or over each modality's K logits with ``per_modality``.
+    """
     nq = query_feats.shape[0]
     h, m, k = params.heads, params.modalities, params.points_per_head
     offsets = (query_feats @ params.offset_net.weight + params.offset_net.bias)
@@ -38,9 +43,9 @@ def mdca_oracle(query_feats, ref_points, maps, params: McdaParams):
     out = np.zeros((nq, out_dim))
     for q in range(nq):
         for hd in range(h):
-            flat = logits[q, hd].reshape(-1)
-            e = np.exp(flat - flat.max())
-            weights = (e / e.sum()).reshape(m, k)
+            rows = logits[q, hd] if per_modality else logits[q, hd].reshape(1, -1)
+            e = np.exp(rows - rows.max(axis=1, keepdims=True))
+            weights = (e / e.sum(axis=1, keepdims=True)).reshape(m, k)
             acc = np.zeros(params.out_proj[hd].in_dim)
             for mod in range(m):
                 for kk in range(k):
@@ -125,6 +130,16 @@ class TestBilinearSample:
         feat = BevFeatureMap(data=Rng(seed).normal(size=(4, 4, 3)), meters_per_cell=1.0)
         assert np.allclose(bilinear_sample(feat, (px, py)),
                            bilinear_oracle(feat, (px, py)), atol=1e-12)
+
+    def test_infinite_point_clamps(self):
+        feat = BevFeatureMap(data=Rng(4).normal(size=(3, 4, 2)), meters_per_cell=1.0)
+        assert np.array_equal(bilinear_sample(feat, (math.inf, -math.inf)),
+                              bilinear_sample(feat, (1.0, 0.0)))
+
+    def test_nan_point_rejected(self):
+        feat = BevFeatureMap(data=np.zeros((3, 3, 1)), meters_per_cell=1.0)
+        with pytest.raises(FloatingPointError, match="sample locations"):
+            bilinear_sample(feat, (0.5, math.nan))
 
 
 class TestMdca:
@@ -235,3 +250,96 @@ class TestMdca:
         out_a = mdca(query, centers, [feat_a], params)
         out_b = mdca(query, centers, [feat_b], params)
         assert np.allclose(out_a, out_b, atol=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3),
+           shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+                           min_size=1, max_size=2),
+           k=st.integers(1, 4),
+           refs=st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]),
+                                               st.floats(-0.5, 1.5))] * 2),
+                         max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_random_shapes(self, seed, heads, shapes, k, refs):
+        rng = Rng(seed)
+        maps = [BevFeatureMap(data=rng.normal(size=shape), meters_per_cell=1.0)
+                for shape in shapes]
+        params = init_mcda(query_channels=3, map_channels=[c for _, _, c in shapes],
+                           out_channels=2, heads=heads, points_per_head=k, value_dim=3,
+                           rng=rng)
+        # the map corners, and a point outside [0, 1] that clamps, in every case
+        refs = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.25, -0.5), *refs])
+        query = rng.normal(size=(len(refs), 3))
+        got = mdca(query, refs, maps, params)
+        want = mdca_oracle(query, refs, maps, params)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_per_modality_normalization_matches_oracle(self):
+        rng = Rng(11)
+        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=3,
+                           heads=2, points_per_head=3, value_dim=4, rng=rng,
+                           normalize_jointly=False)
+        maps = [BevFeatureMap(data=rng.normal(size=(4, 5, 3)), meters_per_cell=1.0),
+                BevFeatureMap(data=rng.normal(size=(2, 3, 2)), meters_per_cell=2.0)]
+        query = rng.normal(size=(7, 4))
+        refs = rng.random(size=(7, 2))
+        got = mdca(query, refs, maps, params)
+        assert np.max(np.abs(got - mdca_oracle(query, refs, maps, params,
+                                               per_modality=True))) < 1e-10
+        assert np.max(np.abs(got - mdca_oracle(query, refs, maps, params))) > 1e-6
+
+    @pytest.mark.parametrize("nq, k", [(1, 1), (5, 2), (12, 4)])
+    def test_one_batched_step_per_head(self, monkeypatch, nq, k):
+        calls = {"bilinear_sample": 0, "linear": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pan.fusion, name, counted(name, getattr(pan.fusion, name)))
+        rng = Rng(12)
+        heads = 3
+        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=2,
+                           heads=heads, points_per_head=k, value_dim=3, rng=rng)
+        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, c)), meters_per_cell=1.0)
+                for c in (3, 2)]
+        mdca(rng.normal(size=(nq, 4)), rng.random(size=(nq, 2)), maps, params)
+        assert calls == {"bilinear_sample": 0, "linear": 2 + heads}
+
+
+class TestMdcaValidation:
+    def _setup(self):
+        rng = Rng(13)
+        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=2,
+                           heads=2, points_per_head=2, value_dim=3, rng=rng)
+        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, c)), meters_per_cell=1.0)
+                for c in (3, 2)]
+        return params, maps, rng.normal(size=(3, 4)), rng.random(size=(3, 2))
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 2), (3, 3), (3,), (3, 2, 1)])
+    def test_ref_points_shape(self, shape):
+        params, maps, query, _ = self._setup()
+        with pytest.raises(ValueError, match=r"ref_points must be \[3, 2\]"):
+            mdca(query, np.full(shape, 0.5), maps, params)
+
+    def test_map_channels_match_value_projection(self):
+        params, maps, query, refs = self._setup()
+        maps[1] = BevFeatureMap(data=np.zeros((4, 4, 5)), meters_per_cell=1.0)
+        with pytest.raises(ValueError, match="map 1 has 5 channels"):
+            mdca(query, refs, maps, params)
+
+    def test_nan_reference_point(self):
+        params, maps, query, refs = self._setup()
+        refs[1, 0] = math.nan
+        with pytest.raises(FloatingPointError, match="sample locations"):
+            mdca(query, refs, maps, params)
+
+    def test_nan_map_cell(self):
+        params, maps, query, refs = self._setup()
+        data = maps[0].data.copy()
+        data[:] = math.nan
+        maps[0] = BevFeatureMap(data=data, meters_per_cell=1.0)
+        with pytest.raises(FloatingPointError):
+            mdca(query, refs, maps, params)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pan.io import (
     channel_sum,
@@ -201,6 +203,58 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"boxes\.jsonl:2: field 'role'"):
             read_boxes_jsonl(path)
 
+    def _points_file(self, tmp_path):
+        cloud, _ = generate_scene(SceneSpec(n_objects=2, clutter_rate=0.0), Rng(16))
+        path = tmp_path / "points.jsonl"
+        write_points_jsonl(path, [cloud])
+        return path, path.read_text().splitlines()
+
+    def _boxes_file(self, tmp_path):
+        _, gt = generate_scene(SceneSpec(n_objects=2), Rng(17))
+        path = tmp_path / "boxes.jsonl"
+        write_boxes_jsonl(path, [FrameAnnotations("frame_000", "day", gt=gt)])
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def _drop_field(lines, index, field):
+        rec = json.loads(lines[index])
+        del rec[field]
+        lines[index] = json.dumps(rec)
+
+    def test_points_missing_field_names_line(self, tmp_path):
+        path, lines = self._points_file(tmp_path)
+        self._drop_field(lines, 2, "z")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"points\.jsonl:3: missing field 'z'"):
+            read_points_jsonl(path)
+
+    def test_boxes_missing_field_names_line(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path)
+        self._drop_field(lines, 1, "cx")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:2: missing field 'cx'"):
+            read_boxes_jsonl(path)
+
+    def test_boxes_invalid_json_names_line(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path)
+        lines.insert(1, "")  # blank lines are skipped but still counted
+        lines[2] = lines[2].replace(",", ";", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:3: invalid JSON"):
+            read_boxes_jsonl(path)
+
+    # every example rewrites the file, so sharing tmp_path between them is safe
+    @given(st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_points_truncated_line_names_line(self, tmp_path, data):
+        path, lines = self._points_file(tmp_path)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][:data.draw(st.integers(1, len(lines[i]) - 1))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"points\.jsonl:{i + 1}: invalid JSON"):
+            read_points_jsonl(path)
+
 
 class TestFeatureMapFormat:
     def test_panf_round_trip(self, tmp_path):
@@ -219,7 +273,19 @@ class TestFeatureMapFormat:
     def test_panf_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.panf"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.panf: not a PANF file"):
+            read_feature_map(path)
+
+    @pytest.mark.parametrize("cut, problem", [
+        (lambda raw: raw[:6], "truncated PANF header"),
+        (lambda raw: raw[:-4], "truncated PANF payload"),
+        (lambda raw: raw + bytes(8), "trailing bytes after PANF payload"),
+    ], ids=["short-header", "short-payload", "trailing-bytes"])
+    def test_panf_malformed_names_file(self, tmp_path, cut, problem):
+        path = tmp_path / "odd.panf"
+        write_feature_map(path, np.ones((2, 2, 1)))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ValueError, match=rf"odd\.panf: {problem}"):
             read_feature_map(path)
 
     def test_pgm_header_and_normalization(self, tmp_path):
