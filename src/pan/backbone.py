@@ -2,12 +2,15 @@
 
 The pipeline is pillarize -> gather -> enhance -> scatter -> conv refine.
 ``enhance`` runs only on the packed tokens, so the attention and MLP cost
-scales with the number of occupied pillars instead of the grid area;
-``count_work`` makes that ratio explicit. Two-layer convolution afterwards
-halves the spatial dims and triples the channel depth. It too follows the
-occupied footprint: conv1 multiplies only the occupied pillars and conv2
-only the pooled cells near them, while the constant background costs one
-term per cell. The result is the exact dense "same" convolution.
+scales with the number of occupied pillars P instead of the grid area;
+``count_work`` makes that ratio explicit. Attention takes its query rows in
+blocks of about 1 MiB of scores, so memory is O(block * P), not P x P.
+Two-layer convolution afterwards halves the spatial dims and triples the
+channel depth. It too follows the occupied footprint: conv1, batch norm and
+relu see only the cells within the kernel of an occupied pillar plus one
+background row, pooling only the pooled cells with such a child, and conv2
+multiplies only those pooled cells, while the constant background costs one
+term per output cell. The result equals the dense composition.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .layers import (
     layer_norm_backward,
     linear,
     linear_backward,
-    max_pool2d,
     relu,
     softmax_rows,
     softmax_rows_backward,
@@ -59,6 +61,9 @@ class EnhancerConfig:
             raise ValueError("embed_dim must be divisible by num_heads")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
+        # even kernels are rejected by conv_refine, which needs odd ones
+        if self.conv_kernel < 1:
+            raise ValueError(f"conv_kernel must be >= 1: {self.conv_kernel}")
 
     @property
     def head_dim(self) -> int:
@@ -137,6 +142,19 @@ def init_backbone(pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig, rng: Rng) -
 # self-attention branch
 # ---------------------------------------------------------------------------
 
+# bytes of one block of attention scores: a block of query rows sees every
+# key, so each row's softmax is exact and only [rows, P] exists at a time.
+# Below 64 rows the two GEMMs per block lose more than the cache gains
+# (P = 8192: 3.5 s per call in 16-row blocks, 2.0 s in 64-row blocks).
+_ATTN_BLOCK_BYTES = 1 << 20
+_ATTN_MIN_ROWS = 64
+
+
+def _row_blocks(p_count: int) -> list[slice]:
+    rows = max(_ATTN_MIN_ROWS, _ATTN_BLOCK_BYTES // (8 * p_count))
+    return [slice(lo, min(lo + rows, p_count)) for lo in range(0, p_count, rows)]
+
+
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                    rng: Rng | None = None, training: bool = False,
                    capture: dict | None = None) -> np.ndarray:
@@ -145,8 +163,10 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim. In training
     mode dropout hits the scores before the softmax (or after it when
     ``cfg.dropout_after_softmax``). P = 0 passes through as an empty tensor.
-    When given, ``capture`` receives the post-softmax weights under
-    ``"weights"`` as [heads, P, P].
+    Query rows go in blocks of about 1 MiB of scores (at least 64 rows), so
+    memory is O(block * P); the dropout draws run head by head, row by row, as for one
+    [P, P] draw per head. When given, ``capture`` receives the post-softmax
+    weights under ``"weights"`` as [heads, P, P].
     """
     x = np.asarray(x, dtype=DTYPE)
     p_count, f = x.shape
@@ -156,21 +176,26 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     k = linear(x, params.k)
     v = linear(x, params.v)
     dh = cfg.head_dim
-    heads_out = []
-    weights_all = []
+    scale = math.sqrt(dh)
+    drop = training and cfg.dropout_p > 0
+    out = np.empty((p_count, f))
+    weights_all = None
+    if capture is not None:
+        weights_all = capture["weights"] = np.empty((cfg.num_heads, p_count, p_count))
     for hd in range(cfg.num_heads):
         sl = slice(hd * dh, (hd + 1) * dh)
-        scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-        if training and cfg.dropout_p > 0 and not cfg.dropout_after_softmax:
-            scores = dropout(scores, cfg.dropout_p, rng, training)
-        weights = softmax_rows(scores)
-        if training and cfg.dropout_p > 0 and cfg.dropout_after_softmax:
-            weights = dropout(weights, cfg.dropout_p, rng, training)
-        weights_all.append(weights)
-        heads_out.append(weights @ v[:, sl])
-    out = np.concatenate(heads_out, axis=1)
-    if capture is not None:
-        capture["weights"] = np.stack(weights_all)
+        kt = k[:, sl].T
+        for blk in _row_blocks(p_count):
+            scores = q[blk, sl] @ kt
+            scores /= scale
+            if drop and not cfg.dropout_after_softmax:
+                scores = dropout(scores, cfg.dropout_p, rng, training)
+            weights = softmax_rows(scores)
+            if drop and cfg.dropout_after_softmax:
+                weights = dropout(weights, cfg.dropout_p, rng, training)
+            if weights_all is not None:
+                weights_all[hd, blk] = weights
+            out[blk, sl] = weights @ v[:, sl]
     if cfg.use_attn_out:
         out = linear(out, params.attn_out)
     return out
@@ -178,25 +203,27 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
                               cfg: EnhancerConfig, dy: np.ndarray) -> np.ndarray:
-    """Input gradient of inference-mode ``self_attention``."""
+    """Input gradient of inference-mode ``self_attention``, in the same row blocks."""
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
     dh = cfg.head_dim
+    scale = math.sqrt(dh)
     d_out = linear_backward(dy, params.attn_out) if cfg.use_attn_out else dy
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
     for hd in range(cfg.num_heads):
         sl = slice(hd * dh, (hd + 1) * dh)
-        scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-        weights = softmax_rows(scores)
-        d_head = d_out[:, sl]
-        d_weights = d_head @ v[:, sl].T
-        dv[:, sl] = weights.T @ d_head
-        d_scores = softmax_rows_backward(d_weights, weights)
-        dq[:, sl] = d_scores @ k[:, sl] / math.sqrt(dh)
-        dk[:, sl] = d_scores.T @ q[:, sl] / math.sqrt(dh)
+        for blk in _row_blocks(len(x)):
+            scores = q[blk, sl] @ k[:, sl].T
+            scores /= scale
+            weights = softmax_rows(scores)
+            d_head = d_out[blk, sl]
+            dv[:, sl] += weights.T @ d_head
+            d_scores = softmax_rows_backward(d_head @ v[:, sl].T, weights)
+            dq[blk, sl] = d_scores @ k[:, sl] / scale
+            dk[:, sl] += d_scores.T @ q[blk, sl] / scale
     return (linear_backward(dq, params.q)
             + linear_backward(dk, params.k)
             + linear_backward(dv, params.v))
@@ -250,22 +277,55 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
 # convolution refinement and the full backbone
 # ---------------------------------------------------------------------------
 
-def _sparse_conv(x: np.ndarray, active: np.ndarray, bg: np.ndarray,
+def _half_widths(kernel: np.ndarray) -> tuple[int, int]:
+    kh, kw = kernel.shape[:2]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("conv kernel dims must be odd")
+    return kh // 2, kw // 2
+
+
+def _tap_scatter(values: np.ndarray, mask: np.ndarray, kernel: np.ndarray,
+                 ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
+    """Bias-free 'same' convolution, at the cells (ti, tj), of the grid that
+    holds ``values`` on ``mask`` (in row-major order) and zero elsewhere.
+
+    The targets must cover the mask dilated by the kernel. The cost is k*k
+    small GEMMs over the masked cells, each added into the rows of the
+    targets its tap reaches. The cells are unique, so no row repeats within
+    one tap, bar the spare last row, which takes the outputs off the grid
+    and is left for the caller to overwrite.
+    """
+    kh, kw, _, cout = kernel.shape
+    ph, pw = _half_widths(kernel)
+    h, w = mask.shape
+    wp = w + 2 * pw
+    rows = np.full((h + 2 * ph, wp), ti.size, dtype=np.intp)
+    rows[ti + ph, tj + pw] = np.arange(ti.size)
+    rows = rows.reshape(-1)
+    acc = np.zeros((ti.size + 1, cout), dtype=DTYPE)
+    # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b), so
+    # input (i', j') reaches output (i' - a + ph, j' - b + pw), padded by (ph, pw)
+    ii, jj = np.nonzero(mask)
+    base = (ii + 2 * ph) * wp + jj + 2 * pw
+    for a in range(kh):
+        for b in range(kw):
+            acc[rows[base - a * wp - b]] += values @ kernel[a, b]
+    return acc
+
+
+def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
                  kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """'Same' convolution of [H, W, Cin] whose cells off ``active`` all equal ``bg``.
+    """'Same' convolution of the [H, W, Cin] grid that holds ``values`` on
+    ``active`` (in row-major order) and ``bg`` everywhere else.
 
     By linearity conv(x) = conv(bg everywhere) + conv(x - bg). The first term
     is the bias plus bg @ kernel[a, b] over the taps that land inside the
     grid; tap validity is separable, so it costs O(H W k Cout). The second is
-    k*k small GEMMs over the active cells, each added into a padded output.
-    Active cells are unique, so no target repeats within one tap.
+    ``_tap_scatter`` of values - bg.
     """
-    h, w, _ = x.shape
+    h, w = active.shape
     kh, kw, _, cout = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("conv kernel dims must be odd")
-    ph, pw = kh // 2, kw // 2
-    # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b)
+    ph, pw = _half_widths(kernel)
     rows = np.arange(h)[:, None] + np.arange(kh) - ph
     cols = np.arange(w)[:, None] + np.arange(kw) - pw
     row_in = ((rows >= 0) & (rows < h)).astype(DTYPE)
@@ -274,46 +334,70 @@ def _sparse_conv(x: np.ndarray, active: np.ndarray, bg: np.ndarray,
     out = (row_in @ bg_cols.reshape(kh, w * cout)).reshape(h, w, cout)
     out += bias
 
-    ii, jj = np.nonzero(active)
-    diff = x[ii, jj] - bg
-    wp = w + 2 * pw
-    acc = np.zeros(((h + 2 * ph) * wp, cout), dtype=DTYPE)
-    # input (i', j') reaches padded output (i' - a + 2ph, j' - b + 2pw)
-    base = (ii + 2 * ph) * wp + jj + 2 * pw
-    for a in range(kh):
-        for b in range(kw):
-            acc[base - a * wp - b] += diff @ kernel[a, b]
-    out += acc.reshape(h + 2 * ph, wp, cout)[ph:ph + h, pw:pw + w]
+    every_i, every_j = np.indices((h, w)).reshape(2, -1)
+    out += _tap_scatter(values - bg, active, kernel, every_i, every_j)[:-1].reshape(h, w, cout)
     return check_finite(out, "conv output")
+
+
+def _dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Cells whose kernel window holds a masked cell: k ORs down, k across."""
+    ph, pw = _half_widths(kernel)
+    h, w = mask.shape
+    padded = np.pad(mask, ((ph, ph), (0, 0)))
+    down = np.zeros_like(mask)
+    for a in range(2 * ph + 1):
+        down |= padded[a:a + h]
+    padded = np.pad(down, ((0, 0), (pw, pw)))
+    near = np.zeros_like(mask)
+    for b in range(2 * pw + 1):
+        near |= padded[:, b:b + w]
+    return near
 
 
 def conv_refine(grid: PillarGrid, params: EnhancerParams,
                 training: bool = False) -> np.ndarray:
     """conv(C->C) -> batch norm -> relu -> max pool /2 -> conv(C->3C).
 
-    Both convolutions are exact and sparse. conv1 multiplies only the
-    occupied pillars, because unmasked cells are zero. Its output off the
-    mask dilated by the kernel is the bias alone, so after batch norm, relu
-    and pooling every pooled cell outside the pooled dilated mask holds one
-    background vector, and conv2 multiplies only the cells inside it.
+    Every stage touches only the occupied footprint. Unmasked cells are
+    zero, so conv1 is the bias alone off ``near``, the mask dilated by the
+    kernel: conv1 multiplies the occupied pillars into the ``near`` rows
+    only, and batch norm and relu see those rows plus one background row,
+    the bias. Training-mode batch statistics count the background row once
+    per cell off ``near``. Only the pooled cells with a ``near`` child are
+    pooled, each from its computed children and the background; the rest
+    hold the pooled background, which conv2 takes as its ``bg``. The result
+    equals the dense composition.
     """
     grid.validate()
     c1, c2 = params.conv1, params.conv2
-    kh, kw = c1.kernel.shape[:2]
-    x = _sparse_conv(grid.data, grid.mask, np.zeros(grid.channels), c1.kernel, c1.bias)
-    x = batch_norm2d(x, c1.bn_stats, c1.bn_gamma, c1.bn_beta, training=training)
-    x = relu(x)
-    x = max_pool2d(x, window=2, stride=2)
+    h, w = grid.height, grid.width
+    ni, nj = np.nonzero(_dilate(grid.mask, c1.kernel))
+    n_near = ni.size
+    # rows 0..n_near-1 are the near cells, the spare last row the background
+    x = _tap_scatter(grid.data[grid.mask], grid.mask, c1.kernel, ni, nj)
+    x[n_near] = 0.0
+    x += c1.bias
+    stats = c1.bn_stats
+    if training:
+        n_bg = h * w - n_near
+        mean = (x[:n_near].sum(axis=0) + n_bg * x[n_near]) / (h * w)
+        dev = x - mean
+        var = ((dev[:n_near] ** 2).sum(axis=0) + n_bg * dev[n_near] ** 2) / (h * w)
+        stats.fold(mean, var)
+        stats = BatchNormStats(mean, var)
+    x = relu(batch_norm2d(x, stats, c1.bn_gamma, c1.bn_beta, training=False))
 
-    padded = np.pad(grid.mask, ((kh // 2, kh // 2), (kw // 2, kw // 2)))
-    near = np.zeros_like(grid.mask)
-    for a in range(kh):
-        for b in range(kw):
-            near |= padded[a:a + grid.height, b:b + grid.width]
-    active = max_pool2d(near[..., None].astype(DTYPE), window=2, stride=2)[..., 0] > 0
-    idle = np.flatnonzero(~active)
-    bg = x.reshape(-1, x.shape[2])[idle[0]] if idle.size else np.zeros(x.shape[2])
-    return _sparse_conv(x, active, bg, c2.kernel, c2.bias)
+    # 2x2 pooling over the rows of x; an odd last row or column reads its
+    # in-grid partner twice, which is what -inf padding leaves of the max
+    oh, ow = -(-h // 2), -(-w // 2)
+    cell = np.full((h, w), n_near, dtype=np.intp)
+    cell[ni, nj] = np.arange(n_near)
+    child = cell[np.ix_(np.minimum(np.arange(2 * oh), h - 1),
+                        np.minimum(np.arange(2 * ow), w - 1))]
+    child = child.reshape(oh, 2, ow, 2).transpose(0, 2, 1, 3).reshape(oh, ow, 4)
+    active = (child < n_near).any(axis=2)
+    pooled = x[child[active]].max(axis=1)
+    return _sparse_conv(active, pooled, x[n_near], c2.kernel, c2.bias)
 
 
 def pan_backbone(pc: PointCloud, params: BackboneParams, pillar_cfg: PillarConfig,

@@ -11,13 +11,14 @@ the per-sample maximum, higher values lighter.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .metrics import Box3D, FrameAnnotations
 from .pillars import PointCloud, RadarPoint
-from .tensor import DTYPE
+from .tensor import DTYPE, check_finite_fields
 
 PANF_MAGIC = b"PANF"
 
@@ -35,6 +36,9 @@ def _point_record(frame_id: str, p: RadarPoint) -> dict:
         "sweep": int(p.sweep_index),
         "dt": float(p.sweep_offset),
     }
+
+
+_POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "sweep", "dt")
 
 
 def write_points_jsonl(path, clouds) -> None:
@@ -68,6 +72,9 @@ def read_points_jsonl(path) -> list[PointCloud]:
                 continue
             try:
                 rec = json.loads(line)
+                if not math.isfinite(rec["x"] + rec["y"] + rec["z"] + rec["vx"] + rec["vy"]
+                                     + rec["rcs"] + rec["dt"] + rec["sweep"]):
+                    check_finite_fields({name: rec[name] for name in _POINT_NUMBERS})
                 cloud = clouds.setdefault(rec["frame"], PointCloud(frame_id=rec["frame"]))
                 cloud.points.append(RadarPoint(
                     x=rec["x"], y=rec["y"], z=rec["z"],

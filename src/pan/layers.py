@@ -81,9 +81,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"softmax_rows: need a non-empty 2-D input, got shape {x.shape}")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return check_finite(e / e.sum(axis=1, keepdims=True), "softmax output")
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return check_finite(e, "softmax output")
 
 
 def softmax_rows_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,11 +118,74 @@ def layer_norm_backward(dy: np.ndarray, x: np.ndarray, gamma: np.ndarray,
     )
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969): erf(x) = x P(x^2) / Q(x^2) for |x| <= 0.46875 and
+# erf(x) = 1 - erfc(|x|) beyond, with erfc(y) = exp(-y^2) R(y) and R rational
+# in y up to 4 and in 1 / y^2 above. Coefficients as in Netlib's CALERF.
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+          2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+          6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRTPI = 1.0 / math.sqrt(math.pi)
+# erfc(8) < 1e-28, so erf rounds to +-1 from here on, and inf stays out of y * y
+_ERF_SATURATE = 8.0
+# elements per pass: a chunk's temporaries stay in cache
+_ERF_CHUNK = 1 << 14
+
+
+def _rational(z: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
+    """Cody's nested form: num[-1] leads the numerator, the denominator is monic."""
+    n, d = num[-1] * z, z.copy()
+    for a, b in zip(num, den[:-1]):
+        n += a
+        n *= z
+        d += b
+        d *= z
+    n += num[len(den) - 1]
+    d += den[-1]
+    n /= d
+    return n
+
+
+def _erf_chunk(x: np.ndarray) -> np.ndarray:
+    # both branches everywhere, then one select: a boolean gather costs more
+    xs = np.clip(x, -0.46875, 0.46875)
+    small = xs * _rational(xs * xs, _ERF_A, _ERF_B)
+    y = np.minimum(np.abs(x), _ERF_SATURATE)  # NaN propagates
+    r = _rational(y, _ERF_C, _ERF_D)
+    tail = y > 4.0
+    if tail.any():
+        yt = y[tail]
+        z = 1.0 / (yt * yt)
+        r[tail] = (_INV_SQRTPI - z * _rational(z, _ERF_P, _ERF_Q)) / yt
+    # erfc(y) = exp(-y^2) R(y); erf = 1 - erfc, summed as Cody does
+    r *= np.exp(-y * y)
+    big = np.copysign((0.5 - r) + 0.5, x)
+    return np.where(y <= 0.46875, small, big)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """float64 erf, within 3e-16 of ``math.erf``: erf(-0) = -0, erf(+-inf) = +-1, NaN stays."""
+    x = np.asarray(x, dtype=DTYPE)
+    out = np.empty_like(x)
+    flat, into = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        into[lo:lo + _ERF_CHUNK] = _erf_chunk(flat[lo:lo + _ERF_CHUNK])
+    return out
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _erf(x * _INV_SQRT2).astype(DTYPE))
+    return 0.5 * (1.0 + _erf(x * _INV_SQRT2))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -233,6 +297,11 @@ class BatchNormStats:
     def fresh(cls, channels: int) -> "BatchNormStats":
         return cls(mean=np.zeros(channels), var=np.ones(channels))
 
+    def fold(self, mean: np.ndarray, var: np.ndarray, momentum: float = 0.1) -> None:
+        """running = (1 - momentum) * running + momentum * batch."""
+        self.mean = (1.0 - momentum) * self.mean + momentum * mean
+        self.var = (1.0 - momentum) * self.var + momentum * var
+
 
 def batch_norm2d(x: np.ndarray, stats: BatchNormStats, gamma: np.ndarray,
                  beta: np.ndarray, training: bool, momentum: float = 0.1,
@@ -248,8 +317,7 @@ def batch_norm2d(x: np.ndarray, stats: BatchNormStats, gamma: np.ndarray,
     if training:
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
-        stats.var = (1.0 - momentum) * stats.var + momentum * var
+        stats.fold(mu, var, momentum)
     else:
         mu, var = stats.mean, stats.var
     xhat = (x - mu) / np.sqrt(var + eps)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import check_finite_fields
+
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
     "pedestrian", "motorcycle", "bicycle", "traffic_cone", "barrier",
@@ -68,6 +70,9 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.x + self.y + self.z + self.w + self.l + self.h
+                             + self.yaw + self.vx + self.vy):
+            check_finite_fields({name: getattr(self, name) for name in _BOX_FLOATS})
         if min(self.w, self.l, self.h) <= 0:
             raise ValueError("box sizes must be positive")
         if self.class_name not in CLASS_NAMES:
@@ -81,6 +86,9 @@ class Box3D:
 
     def range_from_ego(self) -> float:
         return math.hypot(self.x, self.y)
+
+
+_BOX_FLOATS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
 
 @dataclass

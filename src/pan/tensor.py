@@ -8,6 +8,8 @@ component draws from.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DTYPE = np.float64
@@ -18,6 +20,17 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(f"non-finite values in {what}")
     return x
+
+
+def check_finite_fields(fields: dict) -> None:
+    """Raise ValueError naming the first non-finite value of a record.
+
+    Callers test ``math.isfinite`` on the sum of the fields first and call
+    this only when that fails, so a valid record costs one check.
+    """
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"field {name!r} is not finite")
 
 
 class Rng:

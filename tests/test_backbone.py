@@ -3,12 +3,14 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pan.backbone as backbone
 from pan.backbone import (
     EnhancerConfig,
     conv_refine,
@@ -20,8 +22,9 @@ from pan.backbone import (
     pan_backbone,
     save_params,
     self_attention,
+    self_attention_input_grad,
 )
-from pan.layers import BatchNormStats, batch_norm2d, conv2d, max_pool2d, relu
+from pan.layers import BatchNormStats, batch_norm2d, conv2d, max_pool2d, relu, softmax_rows
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, pillarize, scatter
 from pan.tensor import Rng
 
@@ -50,6 +53,50 @@ def attention_oracle(x, params, cfg):
     if cfg.use_attn_out:
         out = out @ params.attn_out.weight + params.attn_out.bias
     return out
+
+
+def attention_unblocked(x, params, cfg, rng=None, training=False):
+    """Self-attention with one [P, P] score matrix per head, dropout drawn per head."""
+    q = x @ params.q.weight + params.q.bias
+    k = x @ params.k.weight + params.k.bias
+    v = x @ params.v.weight + params.v.bias
+    dh = cfg.head_dim
+    drop = training and cfg.dropout_p > 0
+
+    def dropped(a):
+        keep = rng.random(size=a.shape) >= cfg.dropout_p
+        return np.where(keep, a / (1.0 - cfg.dropout_p), 0.0)
+
+    heads = []
+    for hd in range(cfg.num_heads):
+        sl = slice(hd * dh, (hd + 1) * dh)
+        scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
+        if drop and not cfg.dropout_after_softmax:
+            scores = dropped(scores)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights = e / e.sum(axis=1, keepdims=True)
+        if drop and cfg.dropout_after_softmax:
+            weights = dropped(weights)
+        heads.append(weights @ v[:, sl])
+    out = np.concatenate(heads, axis=1)
+    if cfg.use_attn_out:
+        out = out @ params.attn_out.weight + params.attn_out.bias
+    return out
+
+
+def _use_block_rows(monkeypatch, rows):
+    """Make ``self_attention`` take ``rows`` query rows per block at any P."""
+    monkeypatch.setattr(backbone, "_ATTN_BLOCK_BYTES", 0)
+    monkeypatch.setattr(backbone, "_ATTN_MIN_ROWS", rows)
+
+
+def _block_rows(p_count):
+    """Rows per query block that ``self_attention`` uses at P tokens."""
+    return backbone._row_blocks(p_count)[0].stop
+
+
+# the P at which one block holds every query row exactly
+FULL_BLOCK_P = next(p for p in range(1, 4096) if _block_rows(p) == p and _block_rows(p + 1) < p + 1)
 
 
 def enhance_reference(tokens, params, cfg):
@@ -136,6 +183,69 @@ class TestSelfAttention:
         a = self_attention(x, params, cfg_before, rng=Rng(12), training=False)
         b = self_attention(x, params, cfg_after, rng=Rng(13), training=False)
         assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("p_count", [FULL_BLOCK_P - 1, FULL_BLOCK_P, FULL_BLOCK_P + 1])
+    def test_blocks_match_unblocked_oracle(self, p_count):
+        # one block with spare rows, one exact block, and a second block of two rows
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(4, cfg, Rng(20))
+        x = Rng(21).normal(size=(p_count, 8))
+        np.testing.assert_allclose(self_attention(x, params, cfg),
+                                   attention_unblocked(x, params, cfg), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("after", [False, True])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_training_dropout_matches_unblocked_draws(self, monkeypatch, after, rows):
+        # 37 tokens in blocks of 7 rows leave a last block of 2
+        if rows is not None:
+            _use_block_rows(monkeypatch, rows)
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.3,
+                             dropout_after_softmax=after)
+        params = init_enhancer(4, cfg, Rng(22))
+        x = Rng(23).normal(size=(37, 8))
+        got = self_attention(x, params, cfg, rng=Rng(24), training=True)
+        want = attention_unblocked(x, params, cfg, rng=Rng(24), training=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_blocked_capture_and_input_grad(self, monkeypatch):
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(4, cfg, Rng(25))
+        x = Rng(26).normal(size=(37, 8))
+        dy = Rng(27).normal(size=(37, 8))
+        one_block, grad_one = {}, self_attention_input_grad(x, params, cfg, dy)
+        self_attention(x, params, cfg, capture=one_block)
+        _use_block_rows(monkeypatch, 7)
+        assert len(backbone._row_blocks(37)) == 6
+        blocked = {}
+        self_attention(x, params, cfg, capture=blocked)
+        np.testing.assert_allclose(blocked["weights"], one_block["weights"], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(self_attention_input_grad(x, params, cfg, dy), grad_one,
+                                   rtol=0, atol=1e-12)
+
+    def test_blocks_keep_the_row_floor_at_large_p(self):
+        blocks = backbone._row_blocks(20_000)
+        assert blocks[0] == slice(0, backbone._ATTN_MIN_ROWS)
+        assert blocks[-1].stop == 20_000
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    def test_memory_scales_with_block_not_p_squared(self):
+        p_count = 3000
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(4, cfg, Rng(28))
+        x = Rng(29).normal(size=(p_count, 8))
+        tracemalloc.start()
+        try:
+            self_attention(x, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p_count * p_count * 8 / 10
+
+    def test_softmax_rows_in_place_matches_formula(self):
+        x = Rng(30).normal(size=(5, 7)) * 30
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        assert np.array_equal(softmax_rows(x), e / e.sum(axis=1, keepdims=True))
 
 
 class TestEnhance:
@@ -297,6 +407,85 @@ class TestConvRefine:
         data[1, 2, 0] = 1.0
         with pytest.raises(ValueError, match="unmasked"):
             conv_refine(PillarGrid(data=data, mask=np.zeros((4, 4), dtype=bool)), params)
+
+
+def _refine_case(h, w, mask, c=3, seed=0):
+    """Random conv params with off-centre BN stats, and a grid on ``mask``."""
+    rng = Rng(seed)
+    params = init_enhancer(c, EnhancerConfig(embed_dim=8, dropout_p=0.0), rng)
+    params.conv1.bn_stats = BatchNormStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+    params.conv1.bn_gamma = rng.normal(size=c)
+    params.conv1.bn_beta = rng.normal(size=c)
+    grid = PillarGrid(data=np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0),
+                      mask=mask)
+    return params, grid
+
+
+def _dilated(mask, k=3):
+    """Cells with a masked cell in their k x k window, by an explicit loop."""
+    h, w = mask.shape
+    r = k // 2
+    return np.array([[mask[max(0, i - r):i + r + 1, max(0, j - r):j + r + 1].any()
+                      for j in range(w)] for i in range(h)])
+
+
+def _check_against_dense(params, grid, training):
+    dense_params = copy.deepcopy(params)
+    got = conv_refine(grid, params, training=training)
+    want = dense_refine(grid, dense_params, training=training)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    for name in ("mean", "var"):
+        np.testing.assert_allclose(getattr(params.conv1.bn_stats, name),
+                                   getattr(dense_params.conv1.bn_stats, name),
+                                   rtol=0, atol=1e-10)
+
+
+class TestConvRefineFootprint:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_odd_grid_footprint_on_pooling_edge(self, training):
+        # 9 x 7: the last row and column pool with -inf partners beside the grid
+        mask = np.zeros((9, 7), dtype=bool)
+        mask[8, [0, 3, 6]] = True
+        mask[[1, 4], 6] = True
+        params, grid = _refine_case(9, 7, mask, seed=31)
+        _check_against_dense(params, grid, training)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_footprint_covers_every_pooled_cell(self, training):
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[np.ix_([1, 5], [1, 5])] = True
+        near = _dilated(mask)
+        assert not near.all()
+        assert near.reshape(4, 2, 4, 2).any(axis=(1, 3)).all()
+        params, grid = _refine_case(8, 8, mask, seed=32)
+        _check_against_dense(params, grid, training)
+
+    def test_clustered_64x64_training_updates_stats(self):
+        rng = Rng(33)
+        mask = np.zeros((64, 64), dtype=bool)
+        for ci, cj in rng.integers(0, 60, size=(6, 2)):
+            mask[ci:ci + 5, cj:cj + 5] |= rng.random((5, 5)) < 0.6
+        assert 0 < mask.sum() < 200
+        params, grid = _refine_case(64, 64, mask, c=4, seed=34)
+        before = copy.deepcopy(params.conv1.bn_stats)
+        _check_against_dense(params, grid, training=True)
+        assert not np.allclose(params.conv1.bn_stats.mean, before.mean)
+
+    def test_batch_norm_sees_footprint_rows_only(self, monkeypatch):
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return batch_norm2d(x, *args, **kwargs)
+
+        monkeypatch.setattr(backbone, "batch_norm2d", spy)
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[[2, 3, 12], [4, 4, 9]] = True
+        params, grid = _refine_case(16, 16, mask, seed=35)
+        conv_refine(grid, params)
+        n_near = int(_dilated(mask).sum())
+        assert shapes == [(n_near + 1, 3)]
+        assert n_near + 1 < 16 * 16
 
 
 class TestBackbone:
@@ -488,3 +677,8 @@ class TestConfigValidation:
     def test_zero_heads_rejected(self):
         with pytest.raises(ValueError, match="num_heads"):
             EnhancerConfig(num_heads=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_conv_kernel_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="conv_kernel"):
+            EnhancerConfig(conv_kernel=k)

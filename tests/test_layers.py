@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from pan.layers import (
@@ -14,7 +15,9 @@ from pan.layers import (
     batch_norm2d,
     conv2d,
     dropout,
+    _erf,
     gelu,
+    gelu_backward,
     init_linear,
     layer_norm,
     linear,
@@ -162,6 +165,61 @@ class TestActivations:
         phi1, _ = quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi), -12, 1.0)
         assert gelu(np.array([1.0]))[0] == pytest.approx(1.0 * phi1, abs=1e-9)
         assert phi1 == pytest.approx(0.8413, abs=5e-5)
+
+
+class TestErf:
+    def test_sweep_matches_math_and_scipy(self):
+        x = np.linspace(-30.0, 30.0, 1_200_001)
+        got = _erf(x)
+        want = np.array([math.erf(v) for v in x])
+        np.testing.assert_allclose(got, want, rtol=0, atol=3e-16)
+        np.testing.assert_allclose(got, special.erf(x), rtol=0, atol=4e-16)
+
+    def test_range_edges_within_a_few_ulps(self):
+        # both sides of the Cody range limits 0.46875 and 4, and of the
+        # saturation at 8
+        edges = []
+        for edge in (0.46875, 4.0, 8.0):
+            for side in (-np.inf, np.inf):
+                v = edge
+                for _ in range(4):
+                    edges.append(v)
+                    v = np.nextafter(v, side)
+        x = np.array(edges + [-e for e in edges])
+        got = _erf(x)
+        want = np.array([math.erf(v) for v in x])
+        assert np.all(np.abs(got - want) <= 6 * np.spacing(np.abs(want)))
+
+    def test_small_and_subnormal_inputs(self):
+        tiny = np.geomspace(5e-324, 1e-3, 2000)
+        x = np.concatenate([tiny, -tiny, [2.2250738585072014e-308, np.nextafter(0.0, 1.0)]])
+        got = _erf(x)
+        want = np.array([math.erf(v) for v in x])
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.all(np.sign(got) == np.sign(x))
+
+    def test_special_values(self):
+        got = _erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert got[2] == 1.0 and got[3] == -1.0
+        assert np.isnan(got[4])
+        assert got[5] == 1.0 and got[6] == -1.0
+
+    def test_shape_and_chunks(self):
+        # more elements than one chunk, in a 2-D shape
+        x = Rng(40).normal(size=(300, 129)) * 3
+        np.testing.assert_allclose(_erf(x), special.erf(x), rtol=0, atol=4e-16)
+        assert _erf(x).shape == x.shape
+        assert _erf(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_gelu_and_backward_match_math_erf(self):
+        x = np.linspace(-12.0, 12.0, 4001)
+        cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        np.testing.assert_allclose(gelu(x), x * cdf, rtol=0, atol=4e-15)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(gelu_backward(np.ones_like(x), x), cdf + x * pdf,
+                                   rtol=0, atol=1e-15)
 
 
 class TestDropout:

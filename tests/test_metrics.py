@@ -76,6 +76,18 @@ class TestMatchFrame:
         with pytest.raises(ValueError):
             car(0, 0, score=1.5)
 
+    @pytest.mark.parametrize("field", ["x", "y", "z", "w", "l", "h", "yaw", "vx", "vy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        fields = dict(x=1.0, y=2.0, z=0.85, w=1.9, l=4.6, h=1.7, yaw=0.0, vx=0.0, vy=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"field '{field}' is not finite"):
+            Box3D(**fields, class_name="car")
+
+    def test_finite_fields_whose_sum_overflows_accepted(self):
+        box = car(1e308, 1e308, w=1e308)
+        assert box.x == box.y == 1e308
+
     def test_distance_tie_takes_lower_gt_index(self):
         gt = [car(0, 1), car(0, -1)]
         pred = [car(0, 0, score=0.5)]

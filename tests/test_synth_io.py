@@ -243,6 +243,42 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"boxes\.jsonl:3: invalid JSON"):
             read_boxes_jsonl(path)
 
+    @staticmethod
+    def _set_raw(lines, index, field, token):
+        """Put a raw JSON number token (NaN, Infinity, 1e999, ...) in a field."""
+        rec = json.loads(lines[index])
+        rec[field] = "@@"
+        lines[index] = json.dumps(rec).replace('"@@"', token)
+
+    @pytest.mark.parametrize("field, token", [
+        ("vx", "NaN"), ("x", "Infinity"), ("rcs", "-Infinity"), ("dt", "1e999"),
+        ("sweep", "NaN"),
+    ])
+    def test_points_non_finite_field_names_line(self, tmp_path, field, token):
+        path, lines = self._points_file(tmp_path)
+        self._set_raw(lines, 2, field, token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"points\.jsonl:3: field '{field}' is not finite"):
+            read_points_jsonl(path)
+
+    def test_points_finite_fields_whose_sum_overflows_read(self, tmp_path):
+        path, lines = self._points_file(tmp_path)
+        self._set_raw(lines, 0, "x", "1e308")
+        self._set_raw(lines, 0, "y", "1e308")
+        path.write_text("\n".join(lines) + "\n")
+        first = read_points_jsonl(path)[0].points[0]
+        assert first.x == first.y == 1e308
+
+    @pytest.mark.parametrize("field, token, name", [
+        ("cx", "NaN", "x"), ("w", "NaN", "w"), ("yaw", "Infinity", "yaw"), ("vy", "-1e999", "vy"),
+    ])
+    def test_boxes_non_finite_field_names_line(self, tmp_path, field, token, name):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, field, token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"boxes\.jsonl:2: field '{name}' is not finite"):
+            read_boxes_jsonl(path)
+
     # every example rewrites the file, so sharing tmp_path between them is safe
     @given(st.data())
     @settings(max_examples=40, deadline=None,
