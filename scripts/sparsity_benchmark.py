@@ -10,8 +10,10 @@ import argparse
 import statistics
 import time
 
+import numpy as np
+
 from pan.backbone import EnhancerConfig, count_work, init_backbone, pan_backbone
-from pan.pillars import PillarConfig, PointCloud, RadarPoint
+from pan.pillars import RCS, VX, VY, X, Y, PillarConfig, PointCloud
 from pan.tensor import Rng
 
 
@@ -19,12 +21,10 @@ def occupancy_cloud(cfg: PillarConfig, fraction: float, rng: Rng) -> PointCloud:
     h, w = cfg.height, cfg.width
     target = max(1, round(fraction * h * w))
     cells = rng.choice(h * w, size=target, replace=False)
-    pts = [RadarPoint(
-        x=cfg.x_min + (int(c) % w + 0.5) * cfg.pillar_size,
-        y=cfg.y_min + (int(c) // w + 0.5) * cfg.pillar_size,
-        z=0.0, vx=float(rng.normal()), vy=float(rng.normal()),
-        rcs=float(rng.normal(5.0, 2.0)))
-        for c in cells]
+    pts = np.zeros((target, 8))
+    pts[:, X] = cfg.x_min + (cells % w + 0.5) * cfg.pillar_size
+    pts[:, Y] = cfg.y_min + (cells // w + 0.5) * cfg.pillar_size
+    pts[:, [VX, VY, RCS]] = rng.normal([0.0, 0.0, 5.0], [1.0, 1.0, 2.0], size=(target, 3))
     return PointCloud(frame_id=f"fill_{fraction:g}", points=pts)
 
 

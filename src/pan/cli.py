@@ -117,6 +117,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_backbone(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args, args.save_params)
 
     def run(cloud):
@@ -170,6 +172,8 @@ def cmd_nds(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args)
     for cloud in clouds:
         work = count_work(cloud, pillar_cfg, enh_cfg)

@@ -11,14 +11,13 @@ the per-sample maximum, higher values lighter.
 from __future__ import annotations
 
 import json
-import math
 import struct
 
 import numpy as np
 
 from .metrics import Box3D, FrameAnnotations
-from .pillars import PointCloud, RadarPoint
-from .tensor import DTYPE, check_finite_fields
+from .pillars import PointCloud
+from .tensor import DTYPE, check_finite_fields, finite_sum
 
 PANF_MAGIC = b"PANF"
 
@@ -27,25 +26,18 @@ PANF_MAGIC = b"PANF"
 # points.jsonl
 # ---------------------------------------------------------------------------
 
-def _point_record(frame_id: str, p: RadarPoint) -> dict:
-    return {
-        "frame": frame_id,
-        "x": float(p.x), "y": float(p.y), "z": float(p.z),
-        "vx": float(p.vx), "vy": float(p.vy),
-        "rcs": float(p.rcs),
-        "sweep": int(p.sweep_index),
-        "dt": float(p.sweep_offset),
-    }
-
-
-_POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "sweep", "dt")
+# JSON names of the PointCloud columns, in column order
+_POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
 
 
 def write_points_jsonl(path, clouds) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cloud in clouds:
-            for p in cloud.points:
-                fh.write(json.dumps(_point_record(cloud.frame_id, p), allow_nan=False))
+            for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
+                fh.write(json.dumps({
+                    "frame": cloud.frame_id, "x": x, "y": y, "z": z, "vx": vx, "vy": vy,
+                    "rcs": rcs, "sweep": int(sweep), "dt": dt,
+                }, allow_nan=False))
                 fh.write("\n")
 
 
@@ -64,7 +56,7 @@ def _record_error(path, lineno: int, exc: Exception) -> ValueError:
 
 def read_points_jsonl(path) -> list[PointCloud]:
     """Group records into clouds, frames in first-appearance order."""
-    clouds: dict[str, PointCloud] = {}
+    rows: dict[str, list[tuple]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -72,18 +64,19 @@ def read_points_jsonl(path) -> list[PointCloud]:
                 continue
             try:
                 rec = json.loads(line)
-                if not math.isfinite(rec["x"] + rec["y"] + rec["z"] + rec["vx"] + rec["vy"]
-                                     + rec["rcs"] + rec["dt"] + rec["sweep"]):
-                    check_finite_fields({name: rec[name] for name in _POINT_NUMBERS})
-                cloud = clouds.setdefault(rec["frame"], PointCloud(frame_id=rec["frame"]))
-                cloud.points.append(RadarPoint(
-                    x=rec["x"], y=rec["y"], z=rec["z"],
-                    vx=rec["vx"], vy=rec["vy"], rcs=rec["rcs"],
-                    sweep_offset=rec["dt"], sweep_index=rec["sweep"],
-                ))
+                row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
+                       rec["dt"], rec["sweep"])
+                if not finite_sum(row):
+                    check_finite_fields(dict(zip(_POINT_NUMBERS, row)))
+                if type(row[-1]) is not int:
+                    raise ValueError(f"field 'sweep' must be an integer, got {json.dumps(row[-1])}")
+                frame = rec["frame"]
+                if type(frame) is not str:
+                    raise ValueError(f"field 'frame' must be a string, got {json.dumps(frame)}")
             except (ValueError, KeyError, TypeError) as exc:
                 raise _record_error(path, lineno, exc) from None
-    return list(clouds.values())
+            rows.setdefault(frame, []).append(row)
+    return [PointCloud(frame, frame_rows) for frame, frame_rows in rows.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import check_finite_fields
+from .tensor import check_finite_fields, finite_sum
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -70,8 +70,8 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.x + self.y + self.z + self.w + self.l + self.h
-                             + self.yaw + self.vx + self.vy):
+        if not finite_sum((self.x, self.y, self.z, self.w, self.l, self.h,
+                           self.yaw, self.vx, self.vy)):
             check_finite_fields({name: getattr(self, name) for name in _BOX_FLOATS})
         if min(self.w, self.l, self.h) <= 0:
             raise ValueError("box sizes must be positive")

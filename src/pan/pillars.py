@@ -13,7 +13,8 @@ pillar features (automotive radar gives no reliable elevation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, lin
 from .tensor import DTYPE, Rng
 
 
-@dataclass
-class RadarPoint:
-    """One radar return in the ego frame; velocity is ego-motion compensated."""
+class RadarPoint(NamedTuple):
+    """One radar return in the ego frame, velocity ego-motion compensated: a
+    construction record that becomes one ``PointCloud`` row."""
 
     x: float
     y: float
@@ -35,13 +36,28 @@ class RadarPoint:
     sweep_index: int = 0
 
 
+# the columns of ``PointCloud.points``, in ``RadarPoint`` field order
+X, Y, Z, VX, VY, RCS, SWEEP_OFFSET, SWEEP_INDEX = range(8)
+
+
 @dataclass
 class PointCloud:
+    """A frame's returns as float64 [N, 8] rows, from an array or from a list
+    of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8]."""
+
     frame_id: str
-    points: list[RadarPoint] = field(default_factory=list)
+    points: np.ndarray = ()
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=DTYPE)
+        if points.shape == (0,):
+            points = points.reshape(0, 8)
+        if points.ndim != 2 or points.shape[1] != 8:
+            raise ValueError(f"points must be an [N, 8] array, got shape {points.shape}")
+        self.points = points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.shape[0]
 
 
 @dataclass
@@ -153,28 +169,18 @@ def init_pfn(cfg: PillarConfig, rng: Rng) -> PfnParams:
     )
 
 
-def _points_array(pc: PointCloud) -> np.ndarray:
-    # columns: x, y, vx, vy, rcs, sweep_offset, sweep_index
-    if not pc.points:
-        return np.zeros((0, 7), dtype=DTYPE)
-    return np.array(
-        [[p.x, p.y, p.vx, p.vy, p.rcs, p.sweep_offset, p.sweep_index] for p in pc.points],
-        dtype=DTYPE,
-    )
-
-
 def bin_points(pc: PointCloud, cfg: PillarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Bin a cloud into pillars: the one rule that decides each point's cell.
 
-    Returns the in-range points as [N, 7] columns (x, y, vx, vy, rcs,
-    sweep_offset, sweep_index) and the row-major cell index i * W + j of
-    each, with j = floor((x - x_min) / pillar_size) and i likewise from y.
+    Returns the in-range rows of ``pc.points`` and the row-major cell index
+    i * W + j of each, with j = floor((x - x_min) / pillar_size) and i
+    likewise from y.
     """
-    pts = _points_array(pc)
+    pts = pc.points
     if not np.all(np.isfinite(pts)):
         raise FloatingPointError("non-finite radar point fields")
-    j = np.floor((pts[:, 0] - cfg.x_min) / cfg.pillar_size).astype(np.int64)
-    i = np.floor((pts[:, 1] - cfg.y_min) / cfg.pillar_size).astype(np.int64)
+    j = np.floor((pts[:, X] - cfg.x_min) / cfg.pillar_size).astype(np.int64)
+    i = np.floor((pts[:, Y] - cfg.y_min) / cfg.pillar_size).astype(np.int64)
     in_range = (i >= 0) & (i < cfg.height) & (j >= 0) & (j < cfg.width)
     return pts[in_range], (i * cfg.width + j)[in_range]
 
@@ -202,9 +208,9 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     i, j = np.divmod(flat, w)
     center_x = cfg.x_min + (j + 0.5) * cfg.pillar_size
     center_y = cfg.y_min + (i + 0.5) * cfg.pillar_size
-    dist2 = (pts[:, 0] - center_x) ** 2 + (pts[:, 1] - center_y) ** 2
+    dist2 = (pts[:, X] - center_x) ** 2 + (pts[:, Y] - center_y) ** 2
     # row-major pillar order, then the deterministic truncation order
-    order = np.lexsort((pts[:, 6], pts[:, 1], pts[:, 0], dist2, flat))
+    order = np.lexsort((pts[:, SWEEP_INDEX], pts[:, Y], pts[:, X], dist2, flat))
     pts, flat = pts[order], flat[order]
     center_x, center_y = center_x[order], center_y[order]
 
@@ -216,17 +222,15 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     kept_counts = np.minimum(counts, cfg.max_points_per_pillar)
     kept_starts = np.concatenate(([0], np.cumsum(kept_counts)[:-1]))
 
-    mean_x = np.add.reduceat(pts[:, 0], kept_starts) / kept_counts
-    mean_y = np.add.reduceat(pts[:, 1], kept_starts) / kept_counts
+    mean_x = np.add.reduceat(pts[:, X], kept_starts) / kept_counts
+    mean_y = np.add.reduceat(pts[:, Y], kept_starts) / kept_counts
     mean_x = np.repeat(mean_x, kept_counts)
     mean_y = np.repeat(mean_y, kept_counts)
 
     feats = np.column_stack([
-        pts[:, 0], pts[:, 1],            # x, y
-        pts[:, 2], pts[:, 3],            # vx, vy
-        pts[:, 4], pts[:, 5],            # rcs, sweep_offset
-        pts[:, 0] - mean_x, pts[:, 1] - mean_y,
-        pts[:, 0] - center_x, pts[:, 1] - center_y,
+        pts[:, [X, Y, VX, VY, RCS, SWEEP_OFFSET]],
+        pts[:, X] - mean_x, pts[:, Y] - mean_y,
+        pts[:, X] - center_x, pts[:, Y] - center_y,
     ])
     enc = linear(feats, pfn.lin)
     enc = batch_norm2d(enc, pfn.bn_stats, pfn.bn_gamma, pfn.bn_beta, training=training)

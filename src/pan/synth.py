@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import ATTRIBUTES, Box3D, CLASS_NAMES
-from .pillars import PointCloud, RadarPoint
+from .pillars import PointCloud
 from .tensor import Rng
 
 # nominal (w, l, h) per class, meters
@@ -155,7 +155,7 @@ def generate_scene(spec: SceneSpec, rng: Rng,
             class_name=cls, attribute=_default_attribute(cls, speed),
         ))
 
-    points: list[RadarPoint] = []
+    points: list[tuple] = []  # PointCloud rows
     area = (2.0 * spec.position_range) ** 2
     for sweep in range(spec.n_sweeps):
         dt = sweep * spec.sweep_period
@@ -170,21 +170,13 @@ def generate_scene(spec: SceneSpec, rng: Rng,
                 px += rng.normal(0.0, spec.noise_pos)
                 py += rng.normal(0.0, spec.noise_pos)
                 vx, vy = _radial_return(px, py, box.vx, box.vy, spec.noise_vel, rng)
-                points.append(RadarPoint(
-                    x=px, y=py, z=0.0, vx=vx, vy=vy,
-                    rcs=_BASE_RCS[box.class_name] + rng.normal(0.0, spec.noise_rcs),
-                    sweep_offset=dt, sweep_index=sweep,
-                ))
+                rcs = _BASE_RCS[box.class_name] + rng.normal(0.0, spec.noise_rcs)
+                points.append((px, py, 0.0, vx, vy, rcs, dt, sweep))
         n_clutter = int(rng.poisson(spec.clutter_rate * area))
         for _ in range(n_clutter):
             px = rng.uniform(-spec.position_range, spec.position_range)
             py = rng.uniform(-spec.position_range, spec.position_range)
-            points.append(RadarPoint(
-                x=px, y=py, z=0.0,
-                vx=0.0, vy=0.0,
-                rcs=rng.normal(-10.0, spec.noise_rcs),
-                sweep_offset=dt, sweep_index=sweep,
-            ))
+            points.append((px, py, 0.0, 0.0, 0.0, rng.normal(-10.0, spec.noise_rcs), dt, sweep))
     return PointCloud(frame_id=frame_id, points=points), boxes
 
 

@@ -22,14 +22,22 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
+def finite_sum(values) -> bool:
+    """One finiteness check for a whole record; an int too large for a float fails."""
+    try:
+        return math.isfinite(sum(values))
+    except OverflowError:
+        return False
+
+
 def check_finite_fields(fields: dict) -> None:
     """Raise ValueError naming the first non-finite value of a record.
 
-    Callers test ``math.isfinite`` on the sum of the fields first and call
-    this only when that fails, so a valid record costs one check.
+    Callers test ``finite_sum`` of the fields first and call this only when
+    that fails, so a valid record costs one check.
     """
     for name, value in fields.items():
-        if not math.isfinite(value):
+        if not finite_sum((value,)):
             raise ValueError(f"field {name!r} is not finite")
 
 

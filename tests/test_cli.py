@@ -129,6 +129,15 @@ class TestBackbone:
         assert (tmp_path / "one_frame_000.panf").read_bytes() == \
             (tmp_path / "four_frame_000.panf").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, scene_files, threads):
+        points, _ = scene_files
+        code, out, err = run(["backbone", "--points", str(points), "--threads", threads,
+                              "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and "wrote" not in out
+        assert err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not list(tmp_path.glob("o*.panf"))
+
     def test_unknown_config_key_fails(self, tmp_path, capsys, scene_files):
         points, _ = scene_files
         bad = tmp_path / "bad.json"
@@ -211,6 +220,15 @@ class TestBench:
         for token in ("P=", "median_ms=", "attention_macs=", "dense_macs=", "ratio="):
             assert token in out
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, tmp_path, capsys, scene_files, repeats):
+        points, _ = scene_files
+        code, out, err = run(["bench", "--points", str(points),
+                              "--config", str(small_config(tmp_path)),
+                              "--repeats", repeats], capsys)
+        assert code == 1 and "median_ms" not in out
+        assert err == f"error: --repeats must be at least 1, got {repeats}\n"
+
 
 class TestSafety:
     def test_prints_three_distances(self, capsys):
@@ -283,3 +301,43 @@ class TestEvalGolden:
 
     def test_reports_and_tables_byte_identical(self, tmp_path, capsys):
         assert self.outputs(tmp_path, capsys) == self.GOLDEN
+
+
+class TestPointPathGolden:
+    """``pan gen`` points and ``pan backbone`` outputs pinned byte for byte.
+
+    The default scene and grid, with and without the conv tail. The outputs
+    are named relative to the working directory so that stdout does not
+    depend on where the test runs.
+    """
+
+    # sha256 of the points file, and of (.panf, stdout) per backbone run,
+    # recorded while a cloud still held one object per point
+    POINTS = "6df4547fb448521c465dab3d0e475bda5b10a6d883db2fed1cf90972df0f9720"
+    BACKBONE = {
+        "conv": ("dfedd372e0d089e7dfc699bc8589b17ae15671acdfcada0d5abceaaa69f517bc",
+                 "3e2dc984cebea141a0a253990e22f3b4eedc358604e9c5ed8ae12c8a3132985e"),
+        "no-conv": ("0a214522a4cfa1eaa36e1551327305650d99433218ed867a92808c3b42b9be6a",
+                    "a4f6dcbbbc6ab049ba91ff80da93eec69df8c80370b576a8c83bb3170c483a55"),
+    }
+
+    @staticmethod
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def outputs(self, tmp_path, capsys, monkeypatch) -> tuple:
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["gen", "--seed", "7", "--out-points", "points.jsonl",
+                            "--out-boxes", "boxes.jsonl"], capsys)
+        assert code == 0, err
+        backbone = {}
+        for tag, flags in (("conv", []), ("no-conv", ["--no-conv"])):
+            out = f"feat_{tag}.panf"
+            code, stdout, err = run(["backbone", "--points", "points.jsonl",
+                                     "--params", "random:3", "--out", out, *flags], capsys)
+            assert code == 0, err
+            backbone[tag] = (self.sha((tmp_path / out).read_bytes()), self.sha(stdout.encode()))
+        return self.sha((tmp_path / "points.jsonl").read_bytes()), backbone
+
+    def test_points_and_feature_maps_byte_identical(self, tmp_path, capsys, monkeypatch):
+        assert self.outputs(tmp_path, capsys, monkeypatch) == (self.POINTS, self.BACKBONE)

@@ -1,5 +1,7 @@
 """Pillarization, gather/scatter round trips, and sparsity invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from pan.pillars import (
     PillarConfig,
     PillarGrid,
     PointCloud,
+    SWEEP_INDEX,
+    SWEEP_OFFSET,
     RadarPoint,
     TokenBatch,
     gather,
@@ -47,6 +51,29 @@ def random_sparse_grid(rng, h=32, w=32, c=4, fill=0.1):
     return PillarGrid(data=data, mask=mask)
 
 
+class TestPointCloud:
+    def test_empty_sequence_is_zero_rows(self):
+        for empty in ([], (), np.zeros((0, 8))):
+            pc = PointCloud("f", empty)
+            assert pc.points.shape == (0, 8) and pc.points.dtype == np.float64
+            assert len(pc) == 0
+        assert PointCloud("f").points.shape == (0, 8)
+
+    def test_radar_points_become_rows_in_field_order(self):
+        pts = [RadarPoint(x=1.0, y=2.0, z=3.0, vx=4.0, vy=5.0, rcs=6.0),
+               RadarPoint(-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, sweep_offset=0.5, sweep_index=3)]
+        pc = PointCloud("f", pts)
+        assert len(pc) == 2
+        assert np.array_equal(pc.points, [[1, 2, 3, 4, 5, 6, 0, 0],
+                                          [-1, -2, -3, -4, -5, -6, 0.5, 3]])
+        assert pc.points[1, SWEEP_INDEX] == 3 and pc.points[1, SWEEP_OFFSET] == 0.5
+
+    @pytest.mark.parametrize("shape", [(8, 7), (7, 9), (16,), (2, 8, 1)])
+    def test_rejects_anything_but_n_by_8(self, shape):
+        with pytest.raises(ValueError, match=rf"\[N, 8\] array, got shape {re.escape(str(shape))}"):
+            PointCloud("f", np.zeros(shape))
+
+
 class TestPillarize:
     def test_empty_cloud(self):
         cfg = small_cfg()
@@ -79,6 +106,13 @@ class TestPillarize:
     def test_non_finite_coordinates_rejected(self):
         cfg = small_cfg()
         pts = [RadarPoint(x=float("nan"), y=0.0, z=0.0, vx=0.0, vy=0.0, rcs=0.0)]
+        with pytest.raises(FloatingPointError):
+            pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, Rng(0)))
+
+    def test_non_finite_elevation_rejected(self):
+        # z never enters a feature, but NaN/Inf is an error state, not a value
+        cfg = small_cfg()
+        pts = [RadarPoint(x=0.5, y=0.5, z=float("inf"), vx=0.0, vy=0.0, rcs=0.0)]
         with pytest.raises(FloatingPointError):
             pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, Rng(0)))
 

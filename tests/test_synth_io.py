@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pan.io import (
     write_points_jsonl,
 )
 from pan.metrics import EvalConfig, FrameAnnotations, evaluate
+from pan.pillars import SWEEP_OFFSET, VX, VY, X, Y, PointCloud
 from pan.synth import CLASS_SIZES, PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
 from pan.tensor import Rng
 
@@ -33,7 +35,8 @@ class TestGenerateScene:
         spec = SceneSpec(n_objects=5)
         pc_a, gt_a = generate_scene(spec, Rng(123))
         pc_b, gt_b = generate_scene(spec, Rng(123))
-        assert pc_a == pc_b
+        assert pc_a.frame_id == pc_b.frame_id
+        assert np.array_equal(pc_a.points, pc_b.points)
         assert gt_a == gt_b
 
     def test_static_object_radial_doppler_near_zero(self):
@@ -42,9 +45,9 @@ class TestGenerateScene:
                          noise_vel=0.05, n_sweeps=1)
         pc, gt = generate_scene(spec, Rng(7))
         assert gt[0].vx == 0.0 and gt[0].vy == 0.0
-        for p in pc.points:
-            r = math.hypot(p.x, p.y)
-            radial = (p.vx * p.x + p.vy * p.y) / r
+        for x, y, vx, vy in pc.points[:, [X, Y, VX, VY]]:
+            r = math.hypot(x, y)
+            radial = (vx * x + vy * y) / r
             assert abs(radial) < 5 * spec.noise_vel
 
     def test_boxes_inside_configured_range(self):
@@ -56,10 +59,10 @@ class TestGenerateScene:
     def test_returns_lie_on_inflated_footprints(self):
         spec = SceneSpec(n_objects=3, clutter_rate=0.0, n_sweeps=1, noise_pos=0.05)
         pc, gt = generate_scene(spec, Rng(11))
-        for p in pc.points:
+        for x, y in pc.points[:, [X, Y]]:
             ok = False
             for b in gt:
-                dx, dy = p.x - b.x, p.y - b.y
+                dx, dy = x - b.x, y - b.y
                 c, s = math.cos(b.yaw), math.sin(b.yaw)
                 along = dx * c + dy * s
                 across = -dx * s + dy * c
@@ -67,17 +70,17 @@ class TestGenerateScene:
                 if abs(along) <= b.l / 2 + pad and abs(across) <= b.w / 2 + pad:
                     ok = True
                     break
-            assert ok, f"return ({p.x:.2f}, {p.y:.2f}) outside every footprint"
+            assert ok, f"return ({x:.2f}, {y:.2f}) outside every footprint"
 
     def test_sweeps_move_backward_under_constant_velocity(self):
         spec = SceneSpec(n_objects=1, class_mix={"car": 1.0}, speed_range=(10.0, 10.0),
                          clutter_rate=0.0, noise_pos=0.0, n_sweeps=3, sweep_period=0.5)
         pc, gt = generate_scene(spec, Rng(3))
         box = gt[0]
-        for p in pc.points:
-            expected_cx = box.x - box.vx * p.sweep_offset
-            expected_cy = box.y - box.vy * p.sweep_offset
-            d = math.hypot(p.x - expected_cx, p.y - expected_cy)
+        for x, y, dt in pc.points[:, [X, Y, SWEEP_OFFSET]]:
+            expected_cx = box.x - box.vx * dt
+            expected_cy = box.y - box.vy * dt
+            d = math.hypot(x - expected_cx, y - expected_cy)
             assert d <= math.hypot(box.w, box.l) / 2 + 1e-9
 
     def test_overlap_failure_raises(self):
@@ -253,6 +256,10 @@ class TestJsonl:
     @pytest.mark.parametrize("field, token", [
         ("vx", "NaN"), ("x", "Infinity"), ("rcs", "-Infinity"), ("dt", "1e999"),
         ("sweep", "NaN"),
+        # integers too large for a float
+        pytest.param("x", "1" + "0" * 400, id="x-1e400"),
+        pytest.param("rcs", "-1" + "0" * 400, id="rcs--1e400"),
+        pytest.param("sweep", "1" + "0" * 400, id="sweep-1e400"),
     ])
     def test_points_non_finite_field_names_line(self, tmp_path, field, token):
         path, lines = self._points_file(tmp_path)
@@ -267,10 +274,12 @@ class TestJsonl:
         self._set_raw(lines, 0, "y", "1e308")
         path.write_text("\n".join(lines) + "\n")
         first = read_points_jsonl(path)[0].points[0]
-        assert first.x == first.y == 1e308
+        assert first[X] == first[Y] == 1e308
 
     @pytest.mark.parametrize("field, token, name", [
         ("cx", "NaN", "x"), ("w", "NaN", "w"), ("yaw", "Infinity", "yaw"), ("vy", "-1e999", "vy"),
+        pytest.param("cx", "1" + "0" * 400, "x", id="cx-1e400-x"),
+        pytest.param("yaw", "-1" + "0" * 400, "yaw", id="yaw--1e400-yaw"),
     ])
     def test_boxes_non_finite_field_names_line(self, tmp_path, field, token, name):
         path, lines = self._boxes_file(tmp_path)
@@ -278,6 +287,44 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"boxes\.jsonl:2: field '{name}' is not finite"):
             read_boxes_jsonl(path)
+
+    @pytest.mark.parametrize("token", ["2.5", "2.0", "true", "false"])
+    def test_points_sweep_not_integer_rejected(self, tmp_path, token):
+        path, lines = self._points_file(tmp_path)
+        self._set_raw(lines, 2, "sweep", token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"points\.jsonl:3: field 'sweep' must be an "
+                                             rf"integer, got {token}$"):
+            read_points_jsonl(path)
+
+    @pytest.mark.parametrize("token", ["null", "3", '["frame_000"]'])
+    def test_points_frame_not_string_rejected(self, tmp_path, token):
+        path, lines = self._points_file(tmp_path)
+        self._set_raw(lines, 2, "frame", token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"points\.jsonl:3: field 'frame' must be a "
+                                             rf"string, got {re.escape(token)}$"):
+            read_points_jsonl(path)
+
+    # every example rewrites the file, so sharing tmp_path between them is safe
+    @given(st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_points_random_clouds_round_trip(self, tmp_path, data):
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        row = st.tuples(*[number] * 7, st.integers(-2 ** 53, 2 ** 53))
+        n_frames = data.draw(st.integers(1, 3))
+        clouds = [PointCloud(f"frame_{k}", data.draw(st.lists(row, min_size=1, max_size=12)))
+                  for k in range(n_frames)]
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_points_jsonl(p1, clouds)
+        back = read_points_jsonl(p1)
+        write_points_jsonl(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [c.frame_id for c in back] == [c.frame_id for c in clouds]
+        for got, want in zip(back, clouds):
+            assert got.points.shape == want.points.shape
+            assert got.points.tobytes() == want.points.tobytes()  # -0.0 too
 
     # every example rewrites the file, so sharing tmp_path between them is safe
     @given(st.data())
