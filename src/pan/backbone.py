@@ -50,9 +50,6 @@ class EnhancerConfig:
     conv_enabled: bool = True
     conv_kernel: int = 3
     use_attn_out: bool = True
-    # the literal reading puts dropout on the raw scores; flip for the
-    # conventional post-softmax placement
-    dropout_after_softmax: bool = False
 
     def __post_init__(self):
         if self.num_heads < 1:
@@ -70,7 +67,7 @@ class EnhancerConfig:
         return self.embed_dim // self.num_heads
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvStageParams:
     kernel: np.ndarray  # [k, k, Cin, Cout]
     bias: np.ndarray
@@ -79,7 +76,7 @@ class ConvStageParams:
     bn_stats: BatchNormStats
 
 
-@dataclass
+@dataclass(eq=False)
 class EnhancerParams:
     enc: LinearParams      # C -> f
     q: LinearParams        # f -> f
@@ -125,7 +122,7 @@ def init_enhancer(channels: int, cfg: EnhancerConfig, rng: Rng) -> EnhancerParam
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class BackboneParams:
     pfn: PfnParams
     enhancer: EnhancerParams
@@ -161,8 +158,8 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     """Scaled dot-product self-attention over pillar tokens [P, f].
 
     Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim. In training
-    mode dropout hits the scores before the softmax (or after it when
-    ``cfg.dropout_after_softmax``). P = 0 passes through as an empty tensor.
+    mode dropout hits the raw scores, before the softmax, as the paper reads
+    literally. P = 0 passes through as an empty tensor.
     Query rows go in blocks of about 1 MiB of scores (at least 64 rows), so
     memory is O(block * P); the dropout draws run head by head, row by row, as for one
     [P, P] draw per head. When given, ``capture`` receives the post-softmax
@@ -188,11 +185,9 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
         for blk in _row_blocks(p_count):
             scores = q[blk, sl] @ kt
             scores /= scale
-            if drop and not cfg.dropout_after_softmax:
+            if drop:
                 scores = dropout(scores, cfg.dropout_p, rng, training)
             weights = softmax_rows(scores)
-            if drop and cfg.dropout_after_softmax:
-                weights = dropout(weights, cfg.dropout_p, rng, training)
             if weights_all is not None:
                 weights_all[hd, blk] = weights
             out[blk, sl] = weights @ v[:, sl]
@@ -528,21 +523,5 @@ def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> Back
             raise ValueError(
                 f"parameter {name!r} has shape {arrays[name].shape}, expected {current.shape}"
             )
-    e = params.enhancer
-    params.pfn.lin = LinearParams(arrays["pfn.lin.weight"], arrays["pfn.lin.bias"])
-    params.pfn.bn_gamma = arrays["pfn.bn.gamma"]
-    params.pfn.bn_beta = arrays["pfn.bn.beta"]
-    params.pfn.bn_stats = BatchNormStats(arrays["pfn.bn.mean"], arrays["pfn.bn.var"])
-    for name in ("enc", "q", "k", "v", "attn_out", "mlp1", "mlp2", "dec"):
-        setattr(e, name, LinearParams(arrays[f"{name}.weight"], arrays[f"{name}.bias"]))
-    e.ln_gamma = arrays["ln.gamma"]
-    e.ln_beta = arrays["ln.beta"]
-    for name in ("conv1", "conv2"):
-        setattr(e, name, ConvStageParams(
-            kernel=arrays[f"{name}.kernel"],
-            bias=arrays[f"{name}.bias"],
-            bn_gamma=arrays[f"{name}.bn.gamma"],
-            bn_beta=arrays[f"{name}.bn.beta"],
-            bn_stats=BatchNormStats(arrays[f"{name}.bn.mean"], arrays[f"{name}.bn.var"]),
-        ))
+        current[...] = arrays[name]
     return params

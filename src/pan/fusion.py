@@ -19,7 +19,7 @@ from .layers import LinearParams, init_linear, linear
 from .tensor import DTYPE, Rng, check_finite
 
 
-@dataclass
+@dataclass(eq=False)
 class BevFeatureMap:
     """Dense BEV features [H, W, C] with their ground resolution."""
 
@@ -46,7 +46,7 @@ class BevFeatureMap:
         return self.data.shape[2]
 
 
-@dataclass
+@dataclass(eq=False)
 class OccupancyMap:
     probs: np.ndarray  # [H, W] in [0, 1]
     threshold: float = 0.5
@@ -96,7 +96,7 @@ def bilinear_sample(feat: BevFeatureMap, p) -> np.ndarray:
                              np.ones((1, 1)))[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class McdaParams:
     """Deformable cross-attention parameters.
 

@@ -15,9 +15,9 @@ import struct
 
 import numpy as np
 
-from .metrics import Box3D, FrameAnnotations
+from .metrics import CONDITIONS, Box3D, FrameAnnotations
 from .pillars import PointCloud
-from .tensor import DTYPE, check_finite_fields, finite_sum
+from .tensor import DTYPE, check_number_fields, finite_numbers
 
 PANF_MAGIC = b"PANF"
 
@@ -66,10 +66,8 @@ def read_points_jsonl(path) -> list[PointCloud]:
                 rec = json.loads(line)
                 row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
                        rec["dt"], rec["sweep"])
-                if not finite_sum(row):
-                    check_finite_fields(dict(zip(_POINT_NUMBERS, row)))
-                if type(row[-1]) is not int:
-                    raise ValueError(f"field 'sweep' must be an integer, got {json.dumps(row[-1])}")
+                if type(row[-1]) is not int or not finite_numbers(row):
+                    check_number_fields(dict(zip(_POINT_NUMBERS, row)), integers=("sweep",))
                 frame = rec["frame"]
                 if type(frame) is not str:
                     raise ValueError(f"field 'frame' must be a string, got {json.dumps(frame)}")
@@ -82,6 +80,10 @@ def read_points_jsonl(path) -> list[PointCloud]:
 # ---------------------------------------------------------------------------
 # boxes.jsonl
 # ---------------------------------------------------------------------------
+
+# JSON names of the Box3D number fields, in Box3D order
+_BOX_NUMBERS = ("cx", "cy", "cz", "w", "l", "h", "yaw", "vx", "vy", "score")
+
 
 def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
     rec = {
@@ -114,6 +116,8 @@ def write_boxes_jsonl(path, frames) -> None:
 
 
 def read_boxes_jsonl(path) -> list[FrameAnnotations]:
+    """Group records into frames, in first-appearance order; every record of a
+    frame names the same condition, and only predictions carry a score."""
     frames: dict[str, FrameAnnotations] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -122,25 +126,32 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
                 continue
             try:
                 rec = json.loads(line)
-                if rec["role"] not in ("gt", "pred"):
-                    raise ValueError(
-                        f"field 'role' must be 'gt' or 'pred', got {rec['role']!r}"
-                    )
-                frame = frames.setdefault(
-                    rec["frame"],
-                    FrameAnnotations(frame_id=rec["frame"], condition=rec["condition"]),
-                )
-                frame.condition = rec["condition"]
-                box = Box3D(
-                    x=rec["cx"], y=rec["cy"], z=rec["cz"],
-                    w=rec["w"], l=rec["l"], h=rec["h"],
-                    yaw=rec["yaw"], vx=rec["vx"], vy=rec["vy"],
-                    class_name=rec["class"], attribute=rec["attr"],
-                    score=rec.get("score"),
-                )
+                role, frame_id, condition = rec["role"], rec["frame"], rec["condition"]
+                if role not in ("gt", "pred"):
+                    raise ValueError(f"field 'role' must be 'gt' or 'pred', got {role!r}")
+                if ("score" in rec) != (role == "pred"):
+                    problem = "is only for" if role == "gt" else "is required for"
+                    raise ValueError(f"field 'score' {problem} role 'pred'")
+                numbers = (rec["cx"], rec["cy"], rec["cz"], rec["w"], rec["l"], rec["h"],
+                           rec["yaw"], rec["vx"], rec["vy"], rec.get("score", 0.0))
+                if not finite_numbers(numbers):
+                    check_number_fields(dict(zip(_BOX_NUMBERS, numbers)))
+                if type(frame_id) is not str:
+                    raise ValueError(f"field 'frame' must be a string, got {json.dumps(frame_id)}")
+                frame = frames.get(frame_id)
+                if frame is None:
+                    if condition not in CONDITIONS:
+                        raise ValueError(f"field 'condition' must be one of "
+                                         f"{', '.join(CONDITIONS)}, got {json.dumps(condition)}")
+                    frame = frames[frame_id] = FrameAnnotations(frame_id, condition)
+                elif condition != frame.condition:
+                    raise ValueError(f"field 'condition' is {json.dumps(condition)}, but earlier "
+                                     f"records of frame {frame_id!r} say {frame.condition!r}")
+                box = Box3D(*numbers[:9], class_name=rec["class"], attribute=rec["attr"],
+                            score=rec.get("score"))
             except (ValueError, KeyError, TypeError) as exc:
                 raise _record_error(path, lineno, exc) from None
-            (frame.pred if rec["role"] == "pred" else frame.gt).append(box)
+            (frame.pred if role == "pred" else frame.gt).append(box)
     return list(frames.values())
 
 

@@ -24,7 +24,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # linear
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class LinearParams:
     """Affine map parameters: weight [in, out], bias [out]."""
 
@@ -282,7 +282,7 @@ def conv2d_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     return dxp[ph:ph + h, pw:pw + w]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchNormStats:
     """Running per-channel statistics used at inference time."""
 

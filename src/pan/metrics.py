@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import check_finite_fields, finite_sum
+from .tensor import check_number_fields, finite_sum
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -72,7 +72,7 @@ class Box3D:
     def __post_init__(self):
         if not finite_sum((self.x, self.y, self.z, self.w, self.l, self.h,
                            self.yaw, self.vx, self.vy)):
-            check_finite_fields({name: getattr(self, name) for name in _BOX_FLOATS})
+            check_number_fields({name: getattr(self, name) for name in _BOX_FLOATS})
         if min(self.w, self.l, self.h) <= 0:
             raise ValueError("box sizes must be positive")
         if self.class_name not in CLASS_NAMES:
@@ -83,9 +83,6 @@ class Box3D:
 
     def bev_distance_to(self, other: "Box3D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def range_from_ego(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 _BOX_FLOATS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
@@ -150,24 +147,33 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], threshold_m: float):
     return matches, unmatched_pred, unmatched_gt
 
 
-def _class_boxes(frame: FrameAnnotations, class_name: str):
-    gt = [b for b in frame.gt if b.class_name == class_name]
-    pred = [b for b in frame.pred if b.class_name == class_name]
-    return gt, pred
+def _by_class(frames: list[FrameAnnotations], band: tuple | None = None) -> dict:
+    """Each class's boxes as one (gt, pred) pair of lists per frame, in frame
+    order, made in one pass; with ``band`` only boxes at lo <= BEV range < hi."""
+    lo, hi = band or (None, None)
+    groups: dict[str, list[tuple[list, list]]] = {}
+    for k, frame in enumerate(frames):
+        for role, boxes in enumerate((frame.gt, frame.pred)):
+            for b in boxes:
+                if band is None or lo <= math.hypot(b.x, b.y) < hi:
+                    per_frame = groups.get(b.class_name)
+                    if per_frame is None:
+                        per_frame = groups[b.class_name] = [([], []) for _ in frames]
+                    per_frame[k][role].append(b)
+    return groups
 
 
 # ---------------------------------------------------------------------------
 # average precision
 # ---------------------------------------------------------------------------
 
-def _match_class(frames: list[FrameAnnotations], class_name: str,
-                 threshold_m: float, cfg: EvalConfig):
-    """AP and matched (pred, gt) pairs of one class, in frame then match order."""
+def _match_class(groups: list[tuple[list, list]], threshold_m: float, cfg: EvalConfig):
+    """AP and matched (pred, gt) pairs of one class's per-frame (gt, pred)
+    groups, in frame then match order."""
     n_pos = 0
     scored: list[tuple[float, bool]] = []  # (score, is_true_positive)
     pairs: list[tuple[Box3D, Box3D]] = []
-    for frame in frames:
-        gt, pred = _class_boxes(frame, class_name)
+    for gt, pred in groups:
         n_pos += len(gt)
         matches, _, _ = match_frame(gt, pred, threshold_m)
         pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
@@ -197,7 +203,7 @@ def average_precision(frames: list[FrameAnnotations], class_name: str,
     Returns None when the class has no ground truth (undefined, excluded
     from mAP); 0.0 when ground truth exists but nothing scores.
     """
-    return _match_class(frames, class_name, threshold_m, cfg)[0]
+    return _match_class(_by_class(frames).get(class_name, []), threshold_m, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +302,6 @@ class MetricsReport:
         }
 
 
-def _filter_range(boxes: list[Box3D], band: tuple) -> list[Box3D]:
-    lo, hi = band
-    return [b for b in boxes if lo <= b.range_from_ego() < hi]
-
-
 def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
              condition: str | None = None,
              range_band: tuple | None = None) -> MetricsReport:
@@ -316,22 +317,14 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     if condition is not None and condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     selected = [f for f in frames if condition is None or f.condition == condition]
-    clipped = [
-        FrameAnnotations(
-            frame_id=f.frame_id,
-            condition=f.condition,
-            gt=_filter_range(f.gt, band),
-            pred=_filter_range(f.pred, band),
-        )
-        for f in selected
-    ]
-    n_gt = sum(len(f.gt) for f in clipped)
-    n_pred = sum(len(f.pred) for f in clipped)
+    groups = _by_class(selected, band)
+    n_gt = sum(len(gt) for per_frame in groups.values() for gt, _ in per_frame)
+    n_pred = sum(len(pred) for per_frame in groups.values() for _, pred in per_frame)
     classes_present = [c for c in CLASS_NAMES
-                       if any(b.class_name == c for f in clipped for b in f.gt)]
-    if not clipped or not classes_present:
+                       if c in groups and any(gt for gt, _ in groups[c])]
+    if not classes_present:
         return MetricsReport(
-            condition=condition or "all", range_band=band, n_frames=len(clipped),
+            condition=condition or "all", range_band=band, n_frames=len(selected),
             n_gt=n_gt, n_pred=n_pred, empty=True, ap={}, class_tp={},
             mean_ap=None, tp={}, nds=None, match_counts={},
         )
@@ -342,7 +335,7 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     thresholds = sorted(set(cfg.match_thresholds_m) | {cfg.tp_threshold_m})
     for cls in classes_present:
         for thr in thresholds:
-            cls_ap, pairs = _match_class(clipped, cls, thr, cfg)
+            cls_ap, pairs = _match_class(groups[cls], thr, cfg)
             if thr in match_counts:
                 ap.setdefault(cls, {})[thr] = cls_ap
                 match_counts[thr] += len(pairs)
@@ -357,7 +350,7 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
         tp_agg[metric] = float(np.mean(vals)) if vals else 1.0
     score = nds(mean_ap, [tp_agg[m] for m in TP_METRICS])
     return MetricsReport(
-        condition=condition or "all", range_band=band, n_frames=len(clipped),
+        condition=condition or "all", range_band=band, n_frames=len(selected),
         n_gt=n_gt, n_pred=n_pred, empty=False, ap=ap, class_tp=class_tp,
         mean_ap=mean_ap, tp=tp_agg, nds=score, match_counts=match_counts,
     )

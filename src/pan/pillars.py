@@ -39,8 +39,11 @@ class RadarPoint(NamedTuple):
 # the columns of ``PointCloud.points``, in ``RadarPoint`` field order
 X, Y, Z, VX, VY, RCS, SWEEP_OFFSET, SWEEP_INDEX = range(8)
 
+# the per-point feature width that ``pillarize`` builds
+RAW_CHANNELS = 10
 
-@dataclass
+
+@dataclass(eq=False)
 class PointCloud:
     """A frame's returns as float64 [N, 8] rows, from an array or from a list
     of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8]."""
@@ -73,7 +76,6 @@ class PillarConfig:
     y_max: float = 50.0
     pillar_size: float = 0.78125
     max_points_per_pillar: int = 20
-    raw_channels: int = 10
     out_channels: int = 32
 
     def __post_init__(self):
@@ -97,7 +99,7 @@ class PillarConfig:
         return round((self.y_max - self.y_min) / self.pillar_size)
 
 
-@dataclass
+@dataclass(eq=False)
 class PillarGrid:
     """Dense H x W x C pseudo-image plus the non-empty-pillar mask."""
 
@@ -132,7 +134,7 @@ class PillarGrid:
             raise ValueError("unmasked cells must be exactly zero")
 
 
-@dataclass
+@dataclass(eq=False)
 class TokenBatch:
     """Packed non-empty pillars: tokens [P, C] with their (i, j) grid coords."""
 
@@ -149,7 +151,7 @@ class TokenBatch:
         return self.tokens.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class PfnParams:
     """Per-point encoder: linear -> batch norm -> relu into C channels."""
 
@@ -162,7 +164,7 @@ class PfnParams:
 def init_pfn(cfg: PillarConfig, rng: Rng) -> PfnParams:
     c = cfg.out_channels
     return PfnParams(
-        lin=init_linear(cfg.raw_channels, c, rng),
+        lin=init_linear(RAW_CHANNELS, c, rng),
         bn_gamma=np.ones(c),
         bn_beta=np.zeros(c),
         bn_stats=BatchNormStats.fresh(c),

@@ -8,7 +8,9 @@ component draws from.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 
 import numpy as np
 
@@ -23,40 +25,43 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
 
 
 def finite_sum(values) -> bool:
-    """One finiteness check for a whole record; an int too large for a float fails."""
+    """One finiteness check for a whole record: False when a value is not a
+    number or the sum is not finite, an int too large for a float included."""
     try:
         return math.isfinite(sum(values))
-    except OverflowError:
+    except (TypeError, OverflowError):
         return False
 
 
-def check_finite_fields(fields: dict) -> None:
-    """Raise ValueError naming the first non-finite value of a record.
+def finite_numbers(values) -> bool:
+    """``finite_sum`` for a parsed JSON record, where a bool is no number."""
+    return bool not in map(type, values) and finite_sum(values)
 
-    Callers test ``finite_sum`` of the fields first and call this only when
-    that fails, so a valid record costs one check.
+
+def check_number_fields(fields: dict, integers: tuple = ()) -> None:
+    """Raise ValueError naming the first field that is not a finite number,
+    or not an integer for the names in ``integers``.
+
+    Callers test ``finite_sum`` or ``finite_numbers`` of the fields first and
+    call this only when that fails, so a valid record costs one check.
     """
     for name, value in fields.items():
-        if not finite_sum((value,)):
+        is_number = type(value) is not bool and isinstance(value, numbers.Real)
+        if is_number and not finite_sum((value,)):
             raise ValueError(f"field {name!r} is not finite")
+        if not is_number or (name in integers and not isinstance(value, numbers.Integral)):
+            kind = "an integer" if name in integers else "a number"
+            raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
-class Rng:
-    """Deterministic random stream: PCG64 seeded with a 64-bit integer.
+class Rng(np.random.Generator):
+    """Deterministic random stream: a ``numpy.random.Generator`` on PCG64,
+    seeded with the seed's low 64 bits.
 
     The same seed yields the same draw sequence on every platform, which is
     what makes dropout masks, parameter init, and scene generation exactly
-    reproducible. Methods delegate to ``numpy.random.Generator``.
+    reproducible.
     """
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-    def __repr__(self):
-        return f"Rng(seed={self.seed})"
+        super().__init__(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))

@@ -71,12 +71,10 @@ def attention_unblocked(x, params, cfg, rng=None, training=False):
     for hd in range(cfg.num_heads):
         sl = slice(hd * dh, (hd + 1) * dh)
         scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-        if drop and not cfg.dropout_after_softmax:
+        if drop:
             scores = dropped(scores)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights = e / e.sum(axis=1, keepdims=True)
-        if drop and cfg.dropout_after_softmax:
-            weights = dropped(weights)
         heads.append(weights @ v[:, sl])
     out = np.concatenate(heads, axis=1)
     if cfg.use_attn_out:
@@ -171,18 +169,16 @@ class TestSelfAttention:
         self_attention(Rng(8).normal(size=(5, 8)), params, cfg, capture=capture)
         assert np.allclose(capture["weights"].sum(axis=2), 1.0, atol=1e-9)
 
-    def test_dropout_before_softmax_differs_from_after(self):
-        cfg_before = EnhancerConfig(embed_dim=8, dropout_p=0.5)
-        cfg_after = EnhancerConfig(embed_dim=8, dropout_p=0.5, dropout_after_softmax=True)
-        params = init_enhancer(4, cfg_before, Rng(9))
+    def test_inference_ignores_dropout(self):
+        cfg = EnhancerConfig(embed_dim=8, dropout_p=0.5)
+        params = init_enhancer(4, cfg, Rng(9))
         x = Rng(10).normal(size=(4, 8))
-        before = self_attention(x, params, cfg_before, rng=Rng(11), training=True)
-        after = self_attention(x, params, cfg_after, rng=Rng(11), training=True)
-        assert not np.allclose(before, after)
-        # inference ignores dropout entirely
-        a = self_attention(x, params, cfg_before, rng=Rng(12), training=False)
-        b = self_attention(x, params, cfg_after, rng=Rng(13), training=False)
-        assert np.array_equal(a, b)
+        inference = self_attention(x, params, cfg, rng=Rng(12), training=False)
+        other_p = EnhancerConfig(embed_dim=8, dropout_p=0.0)
+        assert np.array_equal(inference,
+                              self_attention(x, params, other_p, rng=Rng(13), training=False))
+        training = self_attention(x, params, cfg, rng=Rng(11), training=True)
+        assert not np.allclose(training, inference)
 
 
     @pytest.mark.parametrize("p_count", [FULL_BLOCK_P - 1, FULL_BLOCK_P, FULL_BLOCK_P + 1])
@@ -194,14 +190,12 @@ class TestSelfAttention:
         np.testing.assert_allclose(self_attention(x, params, cfg),
                                    attention_unblocked(x, params, cfg), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("after", [False, True])
     @pytest.mark.parametrize("rows", [None, 7])
-    def test_training_dropout_matches_unblocked_draws(self, monkeypatch, after, rows):
+    def test_training_dropout_matches_unblocked_draws(self, monkeypatch, rows):
         # 37 tokens in blocks of 7 rows leave a last block of 2
         if rows is not None:
             _use_block_rows(monkeypatch, rows)
-        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.3,
-                             dropout_after_softmax=after)
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.3)
         params = init_enhancer(4, cfg, Rng(22))
         x = Rng(23).normal(size=(37, 8))
         got = self_attention(x, params, cfg, rng=Rng(24), training=True)
@@ -650,6 +644,25 @@ class TestParamsIO:
         a = pan_backbone(pc, params, pcfg, cfg)
         b = pan_backbone(pc, loaded, pcfg, cfg)
         assert np.array_equal(a, b)
+
+    def test_round_trip_at_non_default_dims(self, tmp_path):
+        pcfg = small_pillar_cfg(out_channels=5)
+        cfg = EnhancerConfig(embed_dim=12, num_heads=3, conv_kernel=5, dropout_p=0.0)
+        params = init_backbone(pcfg, cfg, Rng(36))
+        path = tmp_path / "params.json"
+        save_params(path, params)
+        loaded = load_params(path, pcfg, cfg)
+        for (name, want), (got_name, got) in zip(backbone._named_arrays(params),
+                                                 backbone._named_arrays(loaded)):
+            assert got_name == name
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        second = tmp_path / "again.json"
+        save_params(second, loaded)
+        assert second.read_bytes() == path.read_bytes()
+        pc = PointCloud("f", [RadarPoint(x=1.5, y=-2.5, z=0.0, vx=1.0, vy=0.5, rcs=3.0),
+                              RadarPoint(x=-4.0, y=3.0, z=0.0, vx=0.0, vy=0.0, rcs=1.0)])
+        assert np.array_equal(pan_backbone(pc, loaded, pcfg, cfg),
+                              pan_backbone(pc, params, pcfg, cfg))
 
     def test_load_rejects_wrong_shape(self, tmp_path):
         pcfg = small_pillar_cfg()

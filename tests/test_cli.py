@@ -149,6 +149,19 @@ class TestBackbone:
         assert "grid_cells" in err
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("pillar", "raw_channels", 7), ("enhancer", "dropout_after_softmax", True),
+    ])
+    def test_removed_config_keys_fail(self, tmp_path, capsys, scene_files, section, key, value):
+        points, _ = scene_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: value}}))
+        code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
+                              "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and "wrote" not in out
+        assert err == f"error: unknown {section} config keys: {key}\n"
+
+
 class TestEval:
     def test_report_and_table(self, tmp_path, capsys, scene_files):
         _, boxes = scene_files

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pan.metrics import (
+    CONDITIONS,
     Box3D,
     EvalConfig,
     FrameAnnotations,
@@ -83,6 +84,11 @@ class TestMatchFrame:
         fields[field] = value
         with pytest.raises(ValueError, match=rf"field '{field}' is not finite"):
             Box3D(**fields, class_name="car")
+
+    @pytest.mark.parametrize("value, shown", [("1.5", '"1.5"'), (None, "null")])
+    def test_non_number_field_rejected_by_name(self, value, shown):
+        with pytest.raises(ValueError, match=rf"field 'w' must be a number, got {shown}$"):
+            car(0, 0, w=value)
 
     def test_finite_fields_whose_sum_overflows_accepted(self):
         box = car(1e308, 1e308, w=1e308)
@@ -387,6 +393,54 @@ class TestEvaluate:
         for band in ((25.0, 10.0), (10.0, 10.0)):
             with pytest.raises(ValueError, match="range band"):
                 evaluate(self._two_band_frame(), self.CFG, range_band=band)
+
+
+# every class below has ground truth in some examples; "bus" only ever predicted
+GT_CLASSES = ("car", "pedestrian", "traffic_cone")
+BANDS = ((0.0, 20.0), (5.0, 20.0), (5.0, 12.5), (20.0, 50.0))
+
+
+@st.composite
+def split_cases(draw):
+    """Frames, a condition and a band, with boxes exactly on both band edges."""
+    lo, hi = draw(st.sampled_from(BANDS))
+    on_edge = st.sampled_from([lo, hi]).flatmap(
+        lambda r: st.sampled_from([(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)]))
+    position = st.one_of(on_edge, st.tuples(st.floats(-60, 60), st.floats(-60, 60)))
+    frames = []
+    for k in range(draw(st.integers(0, 4))):
+        gt = [car(x, y, cls=cls) for (x, y), cls in
+              draw(st.lists(st.tuples(position, st.sampled_from(GT_CLASSES)), max_size=5))]
+        pred = [car(x, y, score=score, cls=cls) for (x, y), cls, score in draw(st.lists(
+            st.tuples(position, st.sampled_from(GT_CLASSES + ("bus",)), st.floats(0, 1)),
+            max_size=4))]
+        if gt:  # predictions near ground truth, so that some of them match
+            near = st.tuples(st.sampled_from(gt), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
+                             st.floats(0, 1))
+            pred += [car(g.x + dx, g.y + dy, score=score, cls=g.class_name)
+                     for g, dx, dy, score in draw(st.lists(near, max_size=5))]
+        frames.append(FrameAnnotations(f"f{k}", draw(st.sampled_from(CONDITIONS)),
+                                       gt=gt, pred=pred))
+    return frames, draw(st.sampled_from((None,) + CONDITIONS)), (lo, hi)
+
+
+class TestEvaluateSplits:
+    @given(split_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_split_equals_hand_filtered_full_band(self, case):
+        frames, condition, (lo, hi) = case
+
+        def in_band(boxes):
+            return [b for b in boxes if lo <= math.hypot(b.x, b.y) < hi]
+
+        by_hand = [FrameAnnotations(f.frame_id, f.condition, gt=in_band(f.gt), pred=in_band(f.pred))
+                   for f in frames if condition is None or f.condition == condition]
+        cfg = EvalConfig()
+        got = evaluate(frames, cfg, condition, (lo, hi)).to_json_dict()
+        want = evaluate(by_hand, cfg, condition, (0.0, math.inf)).to_json_dict()
+        assert got.pop("range_band") == [lo, hi]
+        del want["range_band"]
+        assert got == want
 
 
 class TestEvalConfig:

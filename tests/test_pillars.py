@@ -13,6 +13,7 @@ from pan.pillars import (
     PillarConfig,
     PillarGrid,
     PointCloud,
+    RAW_CHANNELS,
     SWEEP_INDEX,
     SWEEP_OFFSET,
     RadarPoint,
@@ -35,7 +36,7 @@ def small_cfg(**kw):
 def passthrough_pfn(cfg):
     """Linear = first C raw channels, no normalization: features stay readable."""
     c = cfg.out_channels
-    weight = np.zeros((cfg.raw_channels, c))
+    weight = np.zeros((RAW_CHANNELS, c))
     weight[:c, :c] = np.eye(c)
     return PfnParams(
         lin=LinearParams(weight=weight, bias=np.zeros(c)),

@@ -212,10 +212,12 @@ class TestJsonl:
         write_points_jsonl(path, [cloud])
         return path, path.read_text().splitlines()
 
-    def _boxes_file(self, tmp_path):
+    def _boxes_file(self, tmp_path, preds=False):
+        """Two gt records, then (with ``preds``) their two predictions."""
         _, gt = generate_scene(SceneSpec(n_objects=2), Rng(17))
+        pred = perturb_to_predictions(gt, PerturbSpec(), Rng(18)) if preds else []
         path = tmp_path / "boxes.jsonl"
-        write_boxes_jsonl(path, [FrameAnnotations("frame_000", "day", gt=gt)])
+        write_boxes_jsonl(path, [FrameAnnotations("frame_000", "day", gt=gt, pred=pred)])
         return path, path.read_text().splitlines()
 
     @staticmethod
@@ -277,8 +279,8 @@ class TestJsonl:
         assert first[X] == first[Y] == 1e308
 
     @pytest.mark.parametrize("field, token, name", [
-        ("cx", "NaN", "x"), ("w", "NaN", "w"), ("yaw", "Infinity", "yaw"), ("vy", "-1e999", "vy"),
-        pytest.param("cx", "1" + "0" * 400, "x", id="cx-1e400-x"),
+        ("cx", "NaN", "cx"), ("w", "NaN", "w"), ("yaw", "Infinity", "yaw"), ("vy", "-1e999", "vy"),
+        pytest.param("cx", "1" + "0" * 400, "cx", id="cx-1e400-cx"),
         pytest.param("yaw", "-1" + "0" * 400, "yaw", id="yaw--1e400-yaw"),
     ])
     def test_boxes_non_finite_field_names_line(self, tmp_path, field, token, name):
@@ -305,6 +307,70 @@ class TestJsonl:
         with pytest.raises(ValueError, match=rf"points\.jsonl:3: field 'frame' must be a "
                                              rf"string, got {re.escape(token)}$"):
             read_points_jsonl(path)
+
+    @pytest.mark.parametrize("field, token", [
+        ("rcs", "true"), ("dt", "false"), ("x", '"1.5"'), ("vx", "null"), ("y", "[1.0]"),
+    ])
+    def test_points_number_field_not_a_number_rejected(self, tmp_path, field, token):
+        path, lines = self._points_file(tmp_path)
+        self._set_raw(lines, 2, field, token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"points\.jsonl:3: field '{field}' must be a "
+                                             rf"number, got {re.escape(token)}$"):
+            read_points_jsonl(path)
+
+    @pytest.mark.parametrize("field, token", [
+        ("w", "true"), ("cz", "false"), ("cx", '"1.5"'), ("vy", "null"), ("score", "true"),
+        ("score", "null"),
+    ])
+    def test_boxes_number_field_not_a_number_rejected(self, tmp_path, field, token):
+        path, lines = self._boxes_file(tmp_path, preds=True)
+        self._set_raw(lines, 2, field, token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"boxes\.jsonl:3: field '{field}' must be a "
+                                             rf"number, got {re.escape(token)}$"):
+            read_boxes_jsonl(path)
+
+    def test_boxes_unknown_condition_rejected(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 0, "condition", '"fog"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:1: field 'condition' must be one of "
+                                             r'day, rain, night, got "fog"$'):
+            read_boxes_jsonl(path)
+
+    def test_boxes_conditions_of_one_frame_must_agree(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, "condition", '"rain"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:2: field 'condition' is \"rain\", "
+                                             r"but earlier records of frame 'frame_000' say 'day'$"):
+            read_boxes_jsonl(path)
+
+    @pytest.mark.parametrize("token", ["null", "7", '["frame_000"]'])
+    def test_boxes_frame_not_string_rejected(self, tmp_path, token):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, "frame", token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"boxes\.jsonl:2: field 'frame' must be a "
+                                             rf"string, got {re.escape(token)}$"):
+            read_boxes_jsonl(path)
+
+    def test_boxes_pred_without_score_rejected(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path, preds=True)
+        self._drop_field(lines, 3, "score")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:4: field 'score' is required for "
+                                             r"role 'pred'$"):
+            read_boxes_jsonl(path)
+
+    def test_boxes_gt_with_score_rejected(self, tmp_path):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, "score", "0.5")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"boxes\.jsonl:2: field 'score' is only for "
+                                             r"role 'pred'$"):
+            read_boxes_jsonl(path)
 
     # every example rewrites the file, so sharing tmp_path between them is safe
     @given(st.data())
