@@ -363,13 +363,12 @@ def conv_refine(grid: PillarGrid, params: EnhancerParams,
     hold the pooled background, which conv2 takes as its ``bg``. The result
     equals the dense composition.
     """
-    grid.validate()
     c1, c2 = params.conv1, params.conv2
     h, w = grid.height, grid.width
     ni, nj = np.nonzero(_dilate(grid.mask, c1.kernel))
     n_near = ni.size
     # rows 0..n_near-1 are the near cells, the spare last row the background
-    x = _tap_scatter(grid.data[grid.mask], grid.mask, c1.kernel, ni, nj)
+    x = _tap_scatter(grid.features, grid.mask, c1.kernel, ni, nj)
     x[n_near] = 0.0
     x += c1.bias
     stats = c1.bn_stats

@@ -124,11 +124,8 @@ def cmd_backbone(args) -> int:
     def run(cloud):
         return pan_backbone(cloud, params, pillar_cfg, enh_cfg, training=False)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outputs = list(pool.map(run, clouds))
-    else:
-        outputs = [run(c) for c in clouds]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        outputs = list(pool.map(run, clouds))
 
     multi = len(clouds) > 1
     out_base = Path(args.out)

@@ -147,7 +147,10 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
                 elif condition != frame.condition:
                     raise ValueError(f"field 'condition' is {json.dumps(condition)}, but earlier "
                                      f"records of frame {frame_id!r} say {frame.condition!r}")
-                box = Box3D(*numbers[:9], class_name=rec["class"], attribute=rec["attr"],
+                attr = rec["attr"]
+                if attr is not None and type(attr) is not str:
+                    raise ValueError(f"field 'attr' must be a string or null, got {json.dumps(attr)}")
+                box = Box3D(*numbers[:9], class_name=rec["class"], attribute=attr,
                             score=rec.get("score"))
             except (ValueError, KeyError, TypeError) as exc:
                 raise _record_error(path, lineno, exc) from None

@@ -14,6 +14,7 @@ origin, so adjacent bands partition exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -74,11 +75,13 @@ class Box3D:
                            self.yaw, self.vx, self.vy)):
             check_number_fields({name: getattr(self, name) for name in _BOX_FLOATS})
         if min(self.w, self.l, self.h) <= 0:
-            raise ValueError("box sizes must be positive")
+            name = next(n for n in ("w", "l", "h") if getattr(self, n) <= 0)
+            raise ValueError(f"field {name!r} must be positive, got {getattr(self, name)}")
         if self.class_name not in CLASS_NAMES:
-            raise ValueError(f"unknown class {self.class_name!r}")
+            raise ValueError(f"field 'class' must be one of {', '.join(CLASS_NAMES)}, "
+                             f"got {json.dumps(self.class_name, default=repr)}")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValueError("prediction score must be in [0, 1]")
+            raise ValueError(f"field 'score' must be in [0, 1], got {self.score}")
         self.yaw = _normalize_yaw(self.yaw)
 
     def bev_distance_to(self, other: "Box3D") -> float:

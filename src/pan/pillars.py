@@ -2,8 +2,9 @@
 
 Converts a multi-sweep cloud into a sparse BEV pseudo-image: points fall
 into vertical pillars over a 2-D grid, each pillar's points are encoded by
-a small per-point net and max-aggregated, and the result is a dense
-H x W x C buffer plus the boolean mask of non-empty pillars. ``gather`` /
+a small per-point net and max-aggregated, and the result is the boolean
+[H, W] mask of non-empty pillars plus their [P, C] feature rows, in
+row-major cell order; no dense H x W x C buffer is built. ``gather`` /
 ``scatter`` move between that grid and the packed token view that the
 attention stages operate on.
 
@@ -101,37 +102,43 @@ class PillarConfig:
 
 @dataclass(eq=False)
 class PillarGrid:
-    """Dense H x W x C pseudo-image plus the non-empty-pillar mask."""
+    """The non-empty-pillar mask [H, W] and their feature rows [P, C], one row
+    per masked cell in row-major order; every other cell is zero."""
 
-    data: np.ndarray
     mask: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=DTYPE)
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.data.ndim != 3 or self.mask.shape != self.data.shape[:2]:
-            raise ValueError("data must be [H, W, C] with mask [H, W]")
+        self.features = np.asarray(self.features, dtype=DTYPE)
+        if self.mask.ndim != 2 or self.features.ndim != 2:
+            raise ValueError("mask must be [H, W] and features [P, C]")
+        if self.features.shape[0] != np.count_nonzero(self.mask):
+            raise ValueError(f"features has {self.features.shape[0]} rows for "
+                             f"{np.count_nonzero(self.mask)} masked cells")
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense [H, W, C] pseudo-image, a new array on each access."""
+        out = np.zeros((*self.mask.shape, self.channels))
+        out[self.mask] = self.features
+        return out
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.mask.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.mask.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[2]
+        return self.features.shape[1]
 
     @property
     def pillar_count(self) -> int:
-        return int(self.mask.sum())
-
-    def validate(self) -> None:
-        """Check the sparsity invariant: unmasked cells hold exact zeros."""
-        if np.any(self.data[~self.mask] != 0.0):
-            raise ValueError("unmasked cells must be exactly zero")
+        return self.features.shape[0]
 
 
 @dataclass(eq=False)
@@ -201,11 +208,11 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     center (ties by (x, y, sweep_index)), which makes the result a pure
     function of the point set regardless of input order.
     """
-    h, w, c = cfg.height, cfg.width, cfg.out_channels
-    grid = PillarGrid(data=np.zeros((h, w, c)), mask=np.zeros((h, w), dtype=bool))
+    w = cfg.width
+    mask = np.zeros((cfg.height, w), dtype=bool)
     pts, flat = bin_points(pc, cfg)
     if flat.size == 0:
-        return grid
+        return PillarGrid(mask, np.zeros((0, cfg.out_channels)))
 
     i, j = np.divmod(flat, w)
     center_x = cfg.x_min + (j + 0.5) * cfg.pillar_size
@@ -239,33 +246,26 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     enc = relu(enc)
     pillar_feats = np.maximum.reduceat(enc, kept_starts, axis=0)
 
-    ii, jj = uniq // w, uniq % w
-    grid.data[ii, jj] = pillar_feats
-    grid.mask[ii, jj] = True
-    return grid
+    mask.reshape(-1)[uniq] = True
+    return PillarGrid(mask, pillar_feats)
 
 
 def gather(grid: PillarGrid) -> TokenBatch:
     """Pack the non-empty pillars into [P, C] tokens, row-major by (i, j)."""
-    ii, jj = np.nonzero(grid.mask)  # np.nonzero scans row-major already
-    return TokenBatch(tokens=grid.data[ii, jj].copy(),
-                      coords=np.column_stack([ii, jj]))
+    return TokenBatch(tokens=grid.features.copy(), coords=np.argwhere(grid.mask))
 
 
 def scatter(tb: TokenBatch, height: int, width: int) -> PillarGrid:
-    """Inverse of ``gather``: place tokens back on an otherwise-zero grid."""
-    coords = tb.coords
-    if coords.shape[0]:
-        ii, jj = coords[:, 0], coords[:, 1]
+    """Inverse of ``gather``: the grid whose masked cells hold the tokens."""
+    mask = np.zeros((height, width), dtype=bool)
+    features = tb.tokens
+    if len(tb):
+        ii, jj = tb.coords[:, 0], tb.coords[:, 1]
         if ii.min() < 0 or jj.min() < 0 or ii.max() >= height or jj.max() >= width:
             raise IndexError("scatter: coordinate outside the grid")
         flat = ii * width + jj
-        if np.unique(flat).size != flat.size:
+        mask.reshape(-1)[flat] = True
+        if np.count_nonzero(mask) != flat.size:
             raise IndexError("scatter: duplicate coordinates")
-    c = tb.tokens.shape[1]
-    grid = PillarGrid(data=np.zeros((height, width, c)),
-                      mask=np.zeros((height, width), dtype=bool))
-    if coords.shape[0]:
-        grid.data[coords[:, 0], coords[:, 1]] = tb.tokens
-        grid.mask[coords[:, 0], coords[:, 1]] = True
-    return grid
+        features = features[np.argsort(flat, kind="stable")]
+    return PillarGrid(mask, features)

@@ -149,7 +149,7 @@ def test_criterion_05_sparsity_laws():
             rng = Rng(seed)
             mask = rng.random(size=(16, 16)) < float(rng.uniform(0.0, 0.4))
             data = np.where(mask[:, :, None], rng.normal(size=(16, 16, 4)), 0.0)
-            grid = PillarGrid(data=data, mask=mask)
+            grid = PillarGrid(mask=mask, features=data[mask])
             back = scatter(gather(grid), 16, 16)
             assert np.array_equal(back.data, grid.data)
             assert np.array_equal(back.mask, grid.mask)

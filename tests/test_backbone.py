@@ -316,14 +316,14 @@ BORDER_CELLS = [(0, 0), (0, 4), (0, 7), (3, 0), (3, 7), (6, 0), (6, 4), (6, 7)]
 class TestConvRefine:
     def _grid(self, data):
         mask = np.any(data != 0.0, axis=2)
-        return PillarGrid(data=data, mask=mask)
+        return PillarGrid(mask=mask, features=data[mask])
 
     def test_zero_grid_bias_free(self):
         cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(0))
         params.conv1.bias[:] = 0.0
         params.conv2.bias[:] = 0.0
-        grid = PillarGrid(data=np.zeros((8, 8, 4)), mask=np.zeros((8, 8), dtype=bool))
+        grid = PillarGrid(mask=np.zeros((8, 8), dtype=bool), features=np.zeros((0, 4)))
         out = conv_refine(grid, params)
         assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -375,8 +375,8 @@ class TestConvRefine:
             mask[tuple(np.array(occupied).T)] = True
         else:
             mask = rng.random((h, w)) < occupied
-        grid = PillarGrid(data=np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0),
-                          mask=mask)
+        data = np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0)
+        grid = PillarGrid(mask=mask, features=data[mask])
         dense_params = copy.deepcopy(params)
 
         got = conv_refine(grid, params, training=training)
@@ -391,16 +391,9 @@ class TestConvRefine:
     def test_rejects_even_kernel(self):
         params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0, conv_kernel=2),
                                Rng(6))
-        grid = PillarGrid(data=np.zeros((4, 4, 2)), mask=np.zeros((4, 4), dtype=bool))
+        grid = PillarGrid(mask=np.zeros((4, 4), dtype=bool), features=np.zeros((0, 2)))
         with pytest.raises(ValueError, match="odd"):
             conv_refine(grid, params)
-
-    def test_rejects_nonzero_unmasked_cells(self):
-        params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0), Rng(5))
-        data = np.zeros((4, 4, 2))
-        data[1, 2, 0] = 1.0
-        with pytest.raises(ValueError, match="unmasked"):
-            conv_refine(PillarGrid(data=data, mask=np.zeros((4, 4), dtype=bool)), params)
 
 
 def _refine_case(h, w, mask, c=3, seed=0):
@@ -410,8 +403,8 @@ def _refine_case(h, w, mask, c=3, seed=0):
     params.conv1.bn_stats = BatchNormStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
     params.conv1.bn_gamma = rng.normal(size=c)
     params.conv1.bn_beta = rng.normal(size=c)
-    grid = PillarGrid(data=np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0),
-                      mask=mask)
+    data = np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0)
+    grid = PillarGrid(mask=mask, features=data[mask])
     return params, grid
 
 
@@ -483,6 +476,28 @@ class TestConvRefineFootprint:
 
 
 class TestBackbone:
+    def test_token_path_memory_scales_with_points(self):
+        # a 1024 x 1024 x 32 grid is 256 MiB dense; 50 points touch 50 pillars
+        half = 50.0
+        pcfg = PillarConfig(x_min=-half, x_max=half, y_min=-half, y_max=half,
+                            pillar_size=2 * half / 1024)
+        cfg = EnhancerConfig(dropout_p=0.0)
+        params = init_backbone(pcfg, cfg, Rng(20))
+        rng = Rng(21)
+        pc = PointCloud("f", [RadarPoint(x=float(rng.uniform(-half, half)),
+                                         y=float(rng.uniform(-half, half)),
+                                         z=0.0, vx=1.0, vy=0.0, rcs=1.0) for _ in range(50)])
+        tracemalloc.start()
+        try:
+            grid = pillarize(pc, pcfg, params.pfn)
+            tb = enhance(gather(grid), params.enhancer, cfg)
+            back = scatter(tb, grid.height, grid.width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.pillar_count == grid.pillar_count == 50
+        assert peak < 16 * 2**20
+
     def _setup(self, seed=0, **encfg):
         pcfg = small_pillar_cfg()
         cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0, **encfg)

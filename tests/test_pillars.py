@@ -49,7 +49,7 @@ def passthrough_pfn(cfg):
 def random_sparse_grid(rng, h=32, w=32, c=4, fill=0.1):
     mask = rng.random(size=(h, w)) < fill
     data = np.where(mask[:, :, None], rng.normal(size=(h, w, c)), 0.0)
-    return PillarGrid(data=data, mask=mask)
+    return PillarGrid(mask=mask, features=data[mask])
 
 
 class TestPointCloud:
@@ -189,24 +189,22 @@ class TestPillarize:
 
 class TestGatherScatter:
     def test_all_empty_grid(self):
-        grid = PillarGrid(data=np.zeros((4, 4, 3)), mask=np.zeros((4, 4), dtype=bool))
+        grid = PillarGrid(mask=np.zeros((4, 4), dtype=bool), features=np.zeros((0, 3)))
         tb = gather(grid)
         assert len(tb) == 0
 
     def test_two_cells_row_major(self):
-        grid = PillarGrid(data=np.zeros((4, 5, 2)), mask=np.zeros((4, 5), dtype=bool))
-        grid.data[2, 3] = [5.0, 6.0]
-        grid.mask[2, 3] = True
-        grid.data[0, 0] = [1.0, 2.0]
-        grid.mask[0, 0] = True
+        mask = np.zeros((4, 5), dtype=bool)
+        mask[2, 3] = mask[0, 0] = True
+        grid = PillarGrid(mask=mask, features=[[1.0, 2.0], [5.0, 6.0]])
         tb = gather(grid)
         assert np.array_equal(tb.coords, [[0, 0], [2, 3]])
         assert np.array_equal(tb.tokens, [[1.0, 2.0], [5.0, 6.0]])
 
     def test_full_grid(self):
         rng = Rng(9)
-        grid = PillarGrid(data=rng.normal(size=(3, 3, 2)),
-                          mask=np.ones((3, 3), dtype=bool))
+        data, mask = rng.normal(size=(3, 3, 2)), np.ones((3, 3), dtype=bool)
+        grid = PillarGrid(mask=mask, features=data[mask])
         assert len(gather(grid)) == 9
 
     def test_scatter_empty(self):
@@ -219,6 +217,16 @@ class TestGatherScatter:
         tb = TokenBatch(tokens=np.ones((2, 1)), coords=np.array([[1, 1], [1, 1]]))
         with pytest.raises(IndexError):
             scatter(tb, 4, 4)
+
+    def test_scatter_orders_rows_by_cell(self):
+        grid = random_sparse_grid(Rng(11))
+        tb = gather(grid)
+        perm = Rng(12).permutation(len(tb))
+        permuted = TokenBatch(tokens=tb.tokens[perm], coords=tb.coords[perm])
+        a, b = scatter(tb, grid.height, grid.width), scatter(permuted, grid.height, grid.width)
+        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.data, b.data)
 
     def test_scatter_out_of_range(self):
         tb = TokenBatch(tokens=np.ones((1, 1)), coords=np.array([[4, 0]]))
@@ -246,7 +254,23 @@ class TestGatherScatter:
         pts = [RadarPoint(x=float(rng.uniform(-8, 8)), y=float(rng.uniform(-8, 8)),
                           z=0.0, vx=1.0, vy=1.0, rcs=1.0) for _ in range(30)]
         grid = pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, rng))
-        grid.validate()
+        assert grid.features.shape == (grid.mask.sum(), cfg.out_channels)
+        data = grid.data
+        assert np.all(data[~grid.mask] == 0.0)
+        data[:] = 1.0  # a new array on each access: writing it leaves the grid as it was
+        assert np.all(grid.data[~grid.mask] == 0.0)
+
+
+class TestPillarGrid:
+    def test_rejects_rows_not_matching_mask(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 2] = True
+        with pytest.raises(ValueError, match="2 rows for 1 masked cells"):
+            PillarGrid(mask=mask, features=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape("mask must be [H, W] and features [P, C]")):
+            PillarGrid(mask=mask, features=np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("mask must be [H, W] and features [P, C]")):
+            PillarGrid(mask=mask[..., None], features=np.zeros((1, 3)))
 
 
 class TestPillarConfig:

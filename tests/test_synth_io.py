@@ -372,6 +372,39 @@ class TestJsonl:
                                              r"role 'pred'$"):
             read_boxes_jsonl(path)
 
+    @pytest.mark.parametrize("token", ["5", "true", "[]", "{}"])
+    def test_boxes_attr_not_string_rejected(self, tmp_path, token):
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, "attr", token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"boxes\.jsonl:2: field 'attr' must be a string "
+                                             rf"or null, got {re.escape(token)}$"):
+            read_boxes_jsonl(path)
+
+    def test_boxes_unknown_attr_string_read(self, tmp_path):
+        # an unknown attribute is data, not a format error: AAE counts it as wrong
+        path, lines = self._boxes_file(tmp_path)
+        self._set_raw(lines, 1, "attr", '"vehicle.flying"')
+        path.write_text("\n".join(lines) + "\n")
+        assert read_boxes_jsonl(path)[0].gt[1].attribute == "vehicle.flying"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"w": "-1.0"}, "field 'w' must be positive, got -1.0"),
+        ({"l": "-1.0", "h": "0.0"}, "field 'l' must be positive, got -1.0"),
+        ({"h": "0"}, "field 'h' must be positive, got 0"),
+        ({"score": "1.5"}, "field 'score' must be in [0, 1], got 1.5"),
+        ({"class": '"tank"'}, "field 'class' must be one of car, truck, bus, trailer, "
+                              "construction_vehicle, pedestrian, motorcycle, bicycle, "
+                              'traffic_cone, barrier, got "tank"'),
+    ])
+    def test_boxes_invalid_value_names_field(self, tmp_path, fields, message):
+        path, lines = self._boxes_file(tmp_path, preds=True)
+        for field, token in fields.items():
+            self._set_raw(lines, 2, field, token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"boxes\.jsonl:3: {re.escape(message)}$"):
+            read_boxes_jsonl(path)
+
     # every example rewrites the file, so sharing tmp_path between them is safe
     @given(st.data())
     @settings(max_examples=60, deadline=None,

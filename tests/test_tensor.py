@@ -33,7 +33,7 @@ def _backbone():
 # two calls of each factory give equal contents in distinct objects
 ARRAY_DATACLASSES = {
     "PointCloud": lambda: PointCloud("f", [(1.0, 2.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0)] * 2),
-    "PillarGrid": lambda: PillarGrid(np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool)),
+    "PillarGrid": lambda: PillarGrid(np.zeros((2, 2), dtype=bool), np.zeros((0, 3))),
     "TokenBatch": lambda: TokenBatch(np.ones((2, 3)), [[0, 0], [0, 1]]),
     "LinearParams": lambda: LinearParams(np.ones((2, 3)), np.zeros(3)),
     "BatchNormStats": lambda: BatchNormStats.fresh(3),
