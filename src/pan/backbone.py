@@ -92,7 +92,7 @@ class EnhancerParams:
     conv2: ConvStageParams  # C -> 3C
 
 
-def _init_conv_stage(k: int, cin: int, cout: int, rng: Rng) -> ConvStageParams:
+def _init_conv_stage(k: int, cin: int, cout: int, rng: np.random.Generator) -> ConvStageParams:
     bound = 1.0 / math.sqrt(k * k * cin)
     return ConvStageParams(
         kernel=rng.uniform(-bound, bound, size=(k, k, cin, cout)),
@@ -103,7 +103,7 @@ def _init_conv_stage(k: int, cin: int, cout: int, rng: Rng) -> ConvStageParams:
     )
 
 
-def init_enhancer(channels: int, cfg: EnhancerConfig, rng: Rng) -> EnhancerParams:
+def init_enhancer(channels: int, cfg: EnhancerConfig, rng: np.random.Generator) -> EnhancerParams:
     f = cfg.embed_dim
     k = cfg.conv_kernel
     return EnhancerParams(
@@ -128,7 +128,8 @@ class BackboneParams:
     enhancer: EnhancerParams
 
 
-def init_backbone(pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig, rng: Rng) -> BackboneParams:
+def init_backbone(pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig,
+                  rng: np.random.Generator) -> BackboneParams:
     return BackboneParams(
         pfn=init_pfn(pillar_cfg, rng),
         enhancer=init_enhancer(pillar_cfg.out_channels, enh_cfg, rng),
@@ -152,18 +153,35 @@ def _row_blocks(p_count: int) -> list[slice]:
     return [slice(lo, min(lo + rows, p_count)) for lo in range(0, p_count, rows)]
 
 
-def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
-                   rng: Rng | None = None, training: bool = False,
-                   capture: dict | None = None) -> np.ndarray:
-    """Scaled dot-product self-attention over pillar tokens [P, f].
+def _attention_weights(q: np.ndarray, k: np.ndarray, cfg: EnhancerConfig,
+                       rng: np.random.Generator | None = None, training: bool = False):
+    """Yield (head slice, row block, softmax weights) per head and query-row block.
 
     Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim. In training
     mode dropout hits the raw scores, before the softmax, as the paper reads
-    literally. P = 0 passes through as an empty tensor.
-    Query rows go in blocks of about 1 MiB of scores (at least 64 rows), so
-    memory is O(block * P); the dropout draws run head by head, row by row, as for one
-    [P, P] draw per head. When given, ``capture`` receives the post-softmax
-    weights under ``"weights"`` as [heads, P, P].
+    literally; the draws run head by head, row by row, as for one [P, P]
+    draw per head.
+    """
+    dh = cfg.head_dim
+    scale = math.sqrt(dh)
+    for hd in range(cfg.num_heads):
+        sl = slice(hd * dh, (hd + 1) * dh)
+        kt = k[:, sl].T
+        for blk in _row_blocks(len(q)):
+            scores = q[blk, sl] @ kt
+            scores /= scale
+            scores = dropout(scores, cfg.dropout_p, rng, training)
+            yield sl, blk, softmax_rows(scores)
+
+
+def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
+                   rng: np.random.Generator | None = None,
+                   training: bool = False) -> np.ndarray:
+    """Scaled dot-product self-attention over pillar tokens [P, f].
+
+    The weights come from ``_attention_weights``. Query rows go in blocks of
+    about 1 MiB of scores (at least 64 rows), so memory is O(block * P).
+    P = 0 passes through as an empty tensor.
     """
     x = np.asarray(x, dtype=DTYPE)
     p_count, f = x.shape
@@ -172,25 +190,9 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    dh = cfg.head_dim
-    scale = math.sqrt(dh)
-    drop = training and cfg.dropout_p > 0
     out = np.empty((p_count, f))
-    weights_all = None
-    if capture is not None:
-        weights_all = capture["weights"] = np.empty((cfg.num_heads, p_count, p_count))
-    for hd in range(cfg.num_heads):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        kt = k[:, sl].T
-        for blk in _row_blocks(p_count):
-            scores = q[blk, sl] @ kt
-            scores /= scale
-            if drop:
-                scores = dropout(scores, cfg.dropout_p, rng, training)
-            weights = softmax_rows(scores)
-            if weights_all is not None:
-                weights_all[hd, blk] = weights
-            out[blk, sl] = weights @ v[:, sl]
+    for sl, blk, weights in _attention_weights(q, k, cfg, rng, training):
+        out[blk, sl] = weights @ v[:, sl]
     if cfg.use_attn_out:
         out = linear(out, params.attn_out)
     return out
@@ -202,23 +204,17 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    dh = cfg.head_dim
-    scale = math.sqrt(dh)
+    scale = math.sqrt(cfg.head_dim)
     d_out = linear_backward(dy, params.attn_out) if cfg.use_attn_out else dy
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for hd in range(cfg.num_heads):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        for blk in _row_blocks(len(x)):
-            scores = q[blk, sl] @ k[:, sl].T
-            scores /= scale
-            weights = softmax_rows(scores)
-            d_head = d_out[blk, sl]
-            dv[:, sl] += weights.T @ d_head
-            d_scores = softmax_rows_backward(d_head @ v[:, sl].T, weights)
-            dq[blk, sl] = d_scores @ k[:, sl] / scale
-            dk[:, sl] += d_scores.T @ q[blk, sl] / scale
+    for sl, blk, weights in _attention_weights(q, k, cfg):
+        d_head = d_out[blk, sl]
+        dv[:, sl] += weights.T @ d_head
+        d_scores = softmax_rows_backward(d_head @ v[:, sl].T, weights)
+        dq[blk, sl] = d_scores @ k[:, sl] / scale
+        dk[:, sl] += d_scores.T @ q[blk, sl] / scale
     return (linear_backward(dq, params.q)
             + linear_backward(dk, params.k)
             + linear_backward(dv, params.v))
@@ -236,15 +232,12 @@ def _mlp(a: np.ndarray, params: EnhancerParams) -> np.ndarray:
 
 
 def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
-            rng: Rng | None = None, training: bool = False) -> TokenBatch:
+            rng: np.random.Generator | None = None, training: bool = False) -> TokenBatch:
     """Refine pillar tokens: both the attention and the MLP sit on residual paths.
 
     e = enc(t); a = e + attention(e); m = a + mlp(a); out = dec(m).
     """
-    tokens = tb.tokens
-    if len(tb) == 0:
-        return TokenBatch(tokens=np.zeros((0, tokens.shape[1])), coords=tb.coords)
-    e = linear(tokens, params.enc)
+    e = linear(tb.tokens, params.enc)
     a = e + self_attention(e, params, cfg, rng=rng, training=training)
     m = a + _mlp(a, params)
     return TokenBatch(tokens=linear(m, params.dec), coords=tb.coords)
@@ -279,33 +272,37 @@ def _half_widths(kernel: np.ndarray) -> tuple[int, int]:
     return kh // 2, kw // 2
 
 
-def _tap_scatter(values: np.ndarray, mask: np.ndarray, kernel: np.ndarray,
-                 ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
-    """Bias-free 'same' convolution, at the cells (ti, tj), of the grid that
-    holds ``values`` on ``mask`` (in row-major order) and zero elsewhere.
+def _tap_scatter(values: np.ndarray, mask: np.ndarray,
+                 kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bias-free 'same' convolution of the grid that holds ``values`` on
+    ``mask`` (in row-major order) and zero elsewhere, at the cells its taps reach.
 
-    The targets must cover the mask dilated by the kernel. The cost is k*k
-    small GEMMs over the masked cells, each added into the rows of the
-    targets its tap reaches. The cells are unique, so no row repeats within
-    one tap, bar the spare last row, which takes the outputs off the grid
-    and is left for the caller to overwrite.
+    Returns ``(cells, acc)``: the ascending flat indices of the cells within
+    the kernel of a masked cell, and one output row per cell plus a spare
+    last row, which takes the taps that land off the grid and is left for
+    the caller to overwrite. Every other cell's output is zero. The cost is
+    k*k small GEMMs over the masked cells; the cells are unique, so no row
+    but the spare repeats within one tap.
     """
     kh, kw, _, cout = kernel.shape
     ph, pw = _half_widths(kernel)
     h, w = mask.shape
     wp = w + 2 * pw
-    rows = np.full((h + 2 * ph, wp), ti.size, dtype=np.intp)
-    rows[ti + ph, tj + pw] = np.arange(ti.size)
-    rows = rows.reshape(-1)
-    acc = np.zeros((ti.size + 1, cout), dtype=DTYPE)
     # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b), so
     # input (i', j') reaches output (i' - a + ph, j' - b + pw), padded by (ph, pw)
     ii, jj = np.nonzero(mask)
     base = (ii + 2 * ph) * wp + jj + 2 * pw
-    for a in range(kh):
-        for b in range(kw):
-            acc[rows[base - a * wp - b]] += values @ kernel[a, b]
-    return acc
+    taps = [base - a * wp - b for a in range(kh) for b in range(kw)]
+    reach = np.zeros((h + 2 * ph) * wp, dtype=bool)
+    for t in taps:
+        reach[t] = True
+    cells = np.flatnonzero(reach.reshape(-1, wp)[ph:ph + h, pw:pw + w])
+    rows = np.full(reach.size, cells.size, dtype=np.intp)
+    rows[(cells // w + ph) * wp + cells % w + pw] = np.arange(cells.size)
+    acc = np.zeros((cells.size + 1, cout), dtype=DTYPE)
+    for t, tap in zip(taps, kernel.reshape(kh * kw, -1, cout)):
+        acc[rows[t]] += values @ tap
+    return cells, acc
 
 
 def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
@@ -316,7 +313,7 @@ def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
     By linearity conv(x) = conv(bg everywhere) + conv(x - bg). The first term
     is the bias plus bg @ kernel[a, b] over the taps that land inside the
     grid; tap validity is separable, so it costs O(H W k Cout). The second is
-    ``_tap_scatter`` of values - bg.
+    ``_tap_scatter`` of values - bg, added at the cells its taps reach.
     """
     h, w = active.shape
     kh, kw, _, cout = kernel.shape
@@ -328,25 +325,9 @@ def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
     bg_cols = np.einsum("jb,c,abcd->ajd", col_in, bg, kernel, optimize=True)
     out = (row_in @ bg_cols.reshape(kh, w * cout)).reshape(h, w, cout)
     out += bias
-
-    every_i, every_j = np.indices((h, w)).reshape(2, -1)
-    out += _tap_scatter(values - bg, active, kernel, every_i, every_j)[:-1].reshape(h, w, cout)
+    cells, acc = _tap_scatter(values - bg, active, kernel)
+    out.reshape(-1, cout)[cells] += acc[:-1]
     return check_finite(out, "conv output")
-
-
-def _dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Cells whose kernel window holds a masked cell: k ORs down, k across."""
-    ph, pw = _half_widths(kernel)
-    h, w = mask.shape
-    padded = np.pad(mask, ((ph, ph), (0, 0)))
-    down = np.zeros_like(mask)
-    for a in range(2 * ph + 1):
-        down |= padded[a:a + h]
-    padded = np.pad(down, ((0, 0), (pw, pw)))
-    near = np.zeros_like(mask)
-    for b in range(2 * pw + 1):
-        near |= padded[:, b:b + w]
-    return near
 
 
 def conv_refine(grid: PillarGrid, params: EnhancerParams,
@@ -354,21 +335,20 @@ def conv_refine(grid: PillarGrid, params: EnhancerParams,
     """conv(C->C) -> batch norm -> relu -> max pool /2 -> conv(C->3C).
 
     Every stage touches only the occupied footprint. Unmasked cells are
-    zero, so conv1 is the bias alone off ``near``, the mask dilated by the
-    kernel: conv1 multiplies the occupied pillars into the ``near`` rows
-    only, and batch norm and relu see those rows plus one background row,
-    the bias. Training-mode batch statistics count the background row once
-    per cell off ``near``. Only the pooled cells with a ``near`` child are
-    pooled, each from its computed children and the background; the rest
-    hold the pooled background, which conv2 takes as its ``bg``. The result
-    equals the dense composition.
+    zero, so conv1 is the bias alone off ``near``, the cells its taps reach
+    from the occupied pillars: conv1 multiplies the pillars into the
+    ``near`` rows only, and batch norm and relu see those rows plus one
+    background row, the bias. Training-mode batch statistics count the
+    background row once per cell off ``near``. Only the pooled cells with a
+    ``near`` child are pooled, each from its computed children and the
+    background; the rest hold the pooled background, which conv2 takes as
+    its ``bg``. The result equals the dense composition.
     """
     c1, c2 = params.conv1, params.conv2
     h, w = grid.height, grid.width
-    ni, nj = np.nonzero(_dilate(grid.mask, c1.kernel))
-    n_near = ni.size
     # rows 0..n_near-1 are the near cells, the spare last row the background
-    x = _tap_scatter(grid.features, grid.mask, c1.kernel, ni, nj)
+    near, x = _tap_scatter(grid.features, grid.mask, c1.kernel)
+    n_near = near.size
     x[n_near] = 0.0
     x += c1.bias
     stats = c1.bn_stats
@@ -384,10 +364,10 @@ def conv_refine(grid: PillarGrid, params: EnhancerParams,
     # 2x2 pooling over the rows of x; an odd last row or column reads its
     # in-grid partner twice, which is what -inf padding leaves of the max
     oh, ow = -(-h // 2), -(-w // 2)
-    cell = np.full((h, w), n_near, dtype=np.intp)
-    cell[ni, nj] = np.arange(n_near)
-    child = cell[np.ix_(np.minimum(np.arange(2 * oh), h - 1),
-                        np.minimum(np.arange(2 * ow), w - 1))]
+    cell = np.full(h * w, n_near, dtype=np.intp)
+    cell[near] = np.arange(n_near)
+    child = cell.reshape(h, w)[np.ix_(np.minimum(np.arange(2 * oh), h - 1),
+                                      np.minimum(np.arange(2 * ow), w - 1))]
     child = child.reshape(oh, 2, ow, 2).transpose(0, 2, 1, 3).reshape(oh, ow, 4)
     active = (child < n_near).any(axis=2)
     pooled = x[child[active]].max(axis=1)
@@ -395,7 +375,7 @@ def conv_refine(grid: PillarGrid, params: EnhancerParams,
 
 
 def pan_backbone(pc: PointCloud, params: BackboneParams, pillar_cfg: PillarConfig,
-                 enh_cfg: EnhancerConfig, rng: Rng | None = None,
+                 enh_cfg: EnhancerConfig, rng: np.random.Generator | None = None,
                  training: bool = False) -> np.ndarray:
     """Full backbone pass: returns [H/2, W/2, 3C], or the enhanced [H, W, C]
     grid when ``conv_enabled`` is off."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import LinearParams, init_linear, linear
-from .tensor import DTYPE, Rng, check_finite
+from .layers import LinearParams, init_linear, linear, softmax_rows
+from .tensor import DTYPE, check_finite
 
 
 @dataclass(eq=False)
@@ -125,7 +125,7 @@ class McdaParams:
 
 
 def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
-              heads: int, points_per_head: int, value_dim: int, rng: Rng,
+              heads: int, points_per_head: int, value_dim: int, rng: np.random.Generator,
               normalize_jointly: bool = True) -> McdaParams:
     m = len(map_channels)
     return McdaParams(
@@ -144,15 +144,12 @@ def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
 def _normalized_weights(logits: np.ndarray, params: McdaParams) -> np.ndarray:
     """Softmax over sampling weights: [Nq, H, M, K] -> same, rows summing to 1."""
     h, m, k = params.heads, params.modalities, params.points_per_head
-    flat = logits.reshape(-1, m * k if params.normalize_jointly else k)
-    flat = np.exp(flat - flat.max(axis=1, keepdims=True))
-    flat /= flat.sum(axis=1, keepdims=True)
+    flat = softmax_rows(logits.reshape(-1, m * k if params.normalize_jointly else k))
     return flat.reshape(logits.shape[0], h, m, k)
 
 
 def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
-         maps: list[BevFeatureMap], params: McdaParams,
-         capture: dict | None = None) -> np.ndarray:
+         maps: list[BevFeatureMap], params: McdaParams) -> np.ndarray:
     """Multi-modal deformable cross-attention.
 
     For every query q with reference point p_q, each head h samples every
@@ -185,8 +182,6 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
     h, m, k = params.heads, params.modalities, params.points_per_head
     offsets = linear(query_feats, params.offset_net).reshape(nq, h, m, k, 2)
     weights = _normalized_weights(linear(query_feats, params.weight_net), params)
-    if capture is not None:
-        capture["weights"] = weights
     out = np.zeros((nq, params.out_proj[0].out_dim))
     for hd in range(h):
         head_acc = np.zeros((nq, params.out_proj[hd].in_dim))

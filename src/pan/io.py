@@ -11,6 +11,7 @@ the per-sample maximum, higher values lighter.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -182,7 +183,10 @@ def read_feature_map(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PANF header ({len(head)} of 16 bytes)")
         h, w, c = struct.unpack("<III", head[4:])
         need = h * w * c * 4
-        buf = fh.read(need + 1)  # one byte more shows trailing data
+        # a claim beyond the file's size is read as nothing: it may not fit in
+        # memory or in an index; one byte more than claimed shows trailing data
+        fits = need <= os.fstat(fh.fileno()).st_size - 16
+        buf = fh.read(need + 1) if fits else b""
     if len(buf) != need:
         problem = ("truncated PANF payload" if len(buf) < need
                    else "trailing bytes after PANF payload")

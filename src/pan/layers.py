@@ -1,6 +1,6 @@
 """Primitive network layers with explicit backward rules.
 
-Every operation is a pure function of float64 arrays (plus explicit Rng
+Every operation is a pure function of float64 arrays (plus explicit generator
 state for dropout). There is no autograd graph: each differentiable layer
 ships a companion ``*_backward`` that maps the upstream gradient to the
 input gradient, and compositions chain those by hand. ``grad_check``
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, Rng, check_finite
+from .tensor import DTYPE, check_finite
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -50,7 +50,7 @@ class LinearParams:
         return self.weight.shape[1]
 
 
-def init_linear(in_dim: int, out_dim: int, rng: Rng) -> LinearParams:
+def init_linear(in_dim: int, out_dim: int, rng: np.random.Generator) -> LinearParams:
     # fan-in rule: uniform(-1/sqrt(in), 1/sqrt(in)) for weight and bias
     bound = 1.0 / math.sqrt(in_dim)
     return LinearParams(
@@ -79,8 +79,8 @@ def linear_backward(dy: np.ndarray, p: LinearParams) -> np.ndarray:
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction."""
     x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"softmax_rows: need a non-empty 2-D input, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"softmax_rows: need a 2-D input with columns, got shape {x.shape}")
     e = x - x.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
@@ -208,7 +208,7 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def dropout(x: np.ndarray, p: float, rng: Rng, training: bool) -> np.ndarray:
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator, training: bool) -> np.ndarray:
     """Zero each element with probability ``p`` and rescale survivors by 1/(1-p).
 
     Inference mode (``training=False``) is the identity, bit-exact; no draw

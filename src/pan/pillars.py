@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, linear, relu
-from .tensor import DTYPE, Rng
+from .tensor import DTYPE
 
 
 class RadarPoint(NamedTuple):
@@ -168,7 +168,7 @@ class PfnParams:
     bn_stats: BatchNormStats
 
 
-def init_pfn(cfg: PillarConfig, rng: Rng) -> PfnParams:
+def init_pfn(cfg: PillarConfig, rng: np.random.Generator) -> PfnParams:
     c = cfg.out_channels
     return PfnParams(
         lin=init_linear(RAW_CHANNELS, c, rng),

@@ -11,14 +11,16 @@ closed form — which is what makes these scenes usable as metric oracles.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import ATTRIBUTES, Box3D, CLASS_NAMES
+from .metrics import ATTRIBUTES, CLASS_NAMES, CONDITIONS, Box3D
 from .pillars import PointCloud
-from .tensor import Rng
+from .tensor import check_number_fields, finite_numbers
 
 # nominal (w, l, h) per class, meters
 CLASS_SIZES = {
@@ -43,6 +45,31 @@ _BASE_RCS = {
 _VEHICLES = ("car", "truck", "bus", "trailer", "construction_vehicle")
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ValueError naming the spec field ``name`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"field {name!r} must be {rule}, got {json.dumps(value, default=repr)}")
+
+
+def _is_range(value, low: float = -math.inf, high: float = math.inf,
+              integers: bool = False) -> bool:
+    """True for a pair of finite numbers lo, hi with low <= lo <= hi <= high."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not finite_numbers(value):
+        return False
+    kind = numbers.Integral if integers else numbers.Real
+    return all(isinstance(v, kind) for v in value) and low <= value[0] <= value[1] <= high
+
+
+def _check_numbers(spec, names: tuple, integers: tuple = (),
+                   at_least: dict | None = None) -> None:
+    """Every field in ``names`` is a finite number, an integer for those in
+    ``integers``, and >= its bound in ``at_least`` (0 when not listed)."""
+    check_number_fields({name: getattr(spec, name) for name in names}, integers)
+    for name in names:
+        bound = (at_least or {}).get(name, 0)
+        _require(getattr(spec, name) >= bound, name, f">= {bound}", getattr(spec, name))
+
+
 @dataclass
 class SceneSpec:
     n_objects: int = 8
@@ -62,14 +89,23 @@ class SceneSpec:
     n_frames: int = 1
 
     def __post_init__(self):
-        if self.clutter_rate < 0 or self.noise_pos < 0 or self.noise_vel < 0 \
-                or self.noise_rcs < 0:
-            raise ValueError("rates and noise sigmas must be nonnegative")
-        if self.n_sweeps < 1:
-            raise ValueError("need at least the current sweep")
-        for cls in self.class_mix:
-            if cls not in CLASS_NAMES:
-                raise ValueError(f"unknown class {cls!r} in class mix")
+        _require(self.condition in CONDITIONS, "condition", f"one of {', '.join(CONDITIONS)}",
+                 self.condition)
+        _check_numbers(self, ("n_objects", "position_range", "clutter_rate", "noise_pos",
+                              "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
+                       integers=("n_objects", "n_sweeps", "n_frames"),
+                       at_least={"n_sweeps": 1, "n_frames": 1})
+        _require(self.position_range > 0, "position_range", "> 0", self.position_range)
+        _require(_is_range(self.points_per_object, low=0, integers=True), "points_per_object",
+                 "two integers 0 <= lo <= hi", self.points_per_object)
+        _require(_is_range(self.speed_range), "speed_range", "two numbers lo <= hi",
+                 self.speed_range)
+        mix = self.class_mix
+        _require(isinstance(mix, dict) and set(mix) <= set(CLASS_NAMES), "class_mix",
+                 f"keyed by {', '.join(CLASS_NAMES)}", mix)
+        weights = list(mix.values())
+        _require(finite_numbers(weights) and min(weights, default=0) >= 0 and sum(weights) > 0,
+                 "class_mix", "weights >= 0 with a positive sum", mix)
 
 
 @dataclass
@@ -85,9 +121,13 @@ class PerturbSpec:
     fp_position_range: float = 45.0
 
     def __post_init__(self):
-        for p in (self.drop_prob, self.attr_flip_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be in [0, 1]")
+        _check_numbers(self, ("translation_sigma", "scale_sigma", "yaw_sigma", "velocity_sigma",
+                              "fp_rate", "drop_prob", "attr_flip_prob", "fp_position_range"))
+        for name in ("drop_prob", "attr_flip_prob"):
+            _require(getattr(self, name) <= 1, name, "in [0, 1]", getattr(self, name))
+        _require(_is_range(self.score_range, 0.0, 1.0), "score_range",
+                 "two numbers 0 <= lo <= hi <= 1", self.score_range)
+        _require(self.fp_position_range > 0, "fp_position_range", "> 0", self.fp_position_range)
 
 
 def _default_attribute(cls: str, speed: float) -> str | None:
@@ -100,14 +140,14 @@ def _default_attribute(cls: str, speed: float) -> str | None:
     return None  # cones and barriers carry no attribute
 
 
-def _sample_class(mix: dict, rng: Rng) -> str:
+def _sample_class(mix: dict, rng: np.random.Generator) -> str:
     names = sorted(mix)
     probs = np.array([mix[n] for n in names], dtype=float)
     probs /= probs.sum()
     return names[int(rng.choice(len(names), p=probs))]
 
 
-def _footprint_point(box: Box3D, rng: Rng) -> tuple[float, float]:
+def _footprint_point(box: Box3D, rng: np.random.Generator) -> tuple[float, float]:
     u = rng.uniform(-box.w / 2.0, box.w / 2.0)
     v = rng.uniform(-box.l / 2.0, box.l / 2.0)
     c, s = math.cos(box.yaw), math.sin(box.yaw)
@@ -116,7 +156,7 @@ def _footprint_point(box: Box3D, rng: Rng) -> tuple[float, float]:
 
 
 def _radial_return(px: float, py: float, vx_obj: float, vy_obj: float,
-                   noise_vel: float, rng: Rng) -> tuple[float, float]:
+                   noise_vel: float, rng: np.random.Generator) -> tuple[float, float]:
     r = math.hypot(px, py)
     if r < 1e-9:
         return 0.0, 0.0
@@ -125,7 +165,7 @@ def _radial_return(px: float, py: float, vx_obj: float, vy_obj: float,
     return speed * ux, speed * uy
 
 
-def generate_scene(spec: SceneSpec, rng: Rng,
+def generate_scene(spec: SceneSpec, rng: np.random.Generator,
                    frame_id: str = "frame_000") -> tuple[PointCloud, list[Box3D]]:
     """One frame: ground-truth boxes plus their multi-sweep radar returns."""
     boxes: list[Box3D] = []
@@ -181,7 +221,7 @@ def generate_scene(spec: SceneSpec, rng: Rng,
 
 
 def perturb_to_predictions(gt: list[Box3D], spec: PerturbSpec,
-                           rng: Rng) -> list[Box3D]:
+                           rng: np.random.Generator) -> list[Box3D]:
     """Detector stand-in: perturb ground truth per the spec and score it.
 
     Translation noise is independent N(0, sigma^2) on each BEV axis, so the

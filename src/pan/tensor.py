@@ -42,8 +42,8 @@ def check_number_fields(fields: dict, integers: tuple = ()) -> None:
     """Raise ValueError naming the first field that is not a finite number,
     or not an integer for the names in ``integers``.
 
-    Callers test ``finite_sum`` or ``finite_numbers`` of the fields first and
-    call this only when that fails, so a valid record costs one check.
+    The record readers test ``finite_sum`` or ``finite_numbers`` of the fields
+    first and call this only when that fails, so a valid record costs one check.
     """
     for name, value in fields.items():
         is_number = type(value) is not bool and isinstance(value, numbers.Real)
@@ -54,14 +54,13 @@ def check_number_fields(fields: dict, integers: tuple = ()) -> None:
             raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
-class Rng(np.random.Generator):
+def Rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: a ``numpy.random.Generator`` on PCG64,
     seeded with the seed's low 64 bits.
 
     The same seed yields the same draw sequence on every platform, which is
     what makes dropout masks, parameter init, and scene generation exactly
-    reproducible.
+    reproducible. NumPy loads ``numpy.random`` on the first call, so code
+    that never draws never loads it.
     """
-
-    def __init__(self, seed: int):
-        super().__init__(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))

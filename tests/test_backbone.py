@@ -88,6 +88,16 @@ def _use_block_rows(monkeypatch, rows):
     monkeypatch.setattr(backbone, "_ATTN_MIN_ROWS", rows)
 
 
+def _stacked_weights(x, params, cfg):
+    """The post-softmax weights of ``backbone._attention_weights`` as [heads, P, P]."""
+    q = x @ params.q.weight + params.q.bias
+    k = x @ params.k.weight + params.k.bias
+    weights = np.full((cfg.num_heads, len(x), len(x)), np.nan)
+    for sl, blk, w in backbone._attention_weights(q, k, cfg):
+        weights[sl.start // cfg.head_dim, blk] = w
+    return weights
+
+
 def _block_rows(p_count):
     """Rows per query block that ``self_attention`` uses at P tokens."""
     return backbone._row_blocks(p_count)[0].stop
@@ -122,10 +132,7 @@ class TestSelfAttention:
         cfg = EnhancerConfig(embed_dim=6, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(0))
         x = Rng(1).normal(size=(1, 6))
-        capture = {}
-        out = self_attention(x, params, cfg, capture=capture)
-        assert capture["weights"].shape == (1, 1, 1)
-        assert capture["weights"][0, 0, 0] == 1.0
+        out = self_attention(x, params, cfg)
         v = x @ params.v.weight + params.v.bias
         expected = v @ params.attn_out.weight + params.attn_out.bias
         assert np.allclose(out, expected, atol=1e-12)
@@ -165,9 +172,9 @@ class TestSelfAttention:
     def test_attention_rows_sum_to_one(self):
         cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(7))
-        capture = {}
-        self_attention(Rng(8).normal(size=(5, 8)), params, cfg, capture=capture)
-        assert np.allclose(capture["weights"].sum(axis=2), 1.0, atol=1e-9)
+        weights = _stacked_weights(Rng(8).normal(size=(5, 8)), params, cfg)
+        assert weights.shape == (2, 5, 5)
+        assert np.allclose(weights.sum(axis=2), 1.0, atol=1e-9)
 
     def test_inference_ignores_dropout(self):
         cfg = EnhancerConfig(embed_dim=8, dropout_p=0.5)
@@ -202,18 +209,17 @@ class TestSelfAttention:
         want = attention_unblocked(x, params, cfg, rng=Rng(24), training=True)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_blocked_capture_and_input_grad(self, monkeypatch):
+    def test_blocked_weights_and_input_grad(self, monkeypatch):
         cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(25))
         x = Rng(26).normal(size=(37, 8))
         dy = Rng(27).normal(size=(37, 8))
-        one_block, grad_one = {}, self_attention_input_grad(x, params, cfg, dy)
-        self_attention(x, params, cfg, capture=one_block)
+        one_block = _stacked_weights(x, params, cfg)
+        grad_one = self_attention_input_grad(x, params, cfg, dy)
         _use_block_rows(monkeypatch, 7)
         assert len(backbone._row_blocks(37)) == 6
-        blocked = {}
-        self_attention(x, params, cfg, capture=blocked)
-        np.testing.assert_allclose(blocked["weights"], one_block["weights"], rtol=0, atol=1e-15)
+        blocked = _stacked_weights(x, params, cfg)
+        np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-15)
         np.testing.assert_allclose(self_attention_input_grad(x, params, cfg, dy), grad_one,
                                    rtol=0, atol=1e-12)
 
@@ -425,6 +431,32 @@ def _check_against_dense(params, grid, training):
         np.testing.assert_allclose(getattr(params.conv1.bn_stats, name),
                                    getattr(dense_params.conv1.bn_stats, name),
                                    rtol=0, atol=1e-10)
+
+
+def _edge_mask(h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[[0, 0, h - 1, h // 2, 1], [0, w // 2, w - 1, 0, w - 1]] = True
+    return mask
+
+
+class TestTapScatter:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "random-2", "edges", "empty"])
+    def test_cells_are_the_dilated_mask(self, k, case):
+        h, w, c = 9, 7, 2
+        rng = Rng(50 + k)
+        if case.startswith("random"):
+            mask = Rng(int(case[-1])).random((h, w)) < 0.1
+        else:
+            mask = _edge_mask(h, w) if case == "edges" else np.zeros((h, w), dtype=bool)
+        data = np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0)
+        kernel = rng.normal(size=(k, k, c, 3))
+        cells, acc = backbone._tap_scatter(data[mask], mask, kernel)
+        np.testing.assert_array_equal(cells, np.flatnonzero(_dilated(mask, k)))
+        assert acc.shape == (cells.size + 1, 3)
+        want = conv2d(data, kernel, padding="same").reshape(-1, 3)
+        np.testing.assert_allclose(acc[:-1], want[cells], rtol=0, atol=1e-12)
+        assert not np.delete(want, cells, axis=0).any()
 
 
 class TestConvRefineFootprint:

@@ -9,6 +9,8 @@ from pan.cli import main
 from pan.io import read_feature_map
 from pan.metrics import CONDITIONS
 
+from test_synth_io import BAD_SPECS
+
 
 def run(args, capsys):
     code = main(args)
@@ -63,6 +65,17 @@ class TestGen:
         code, _, err = run(["gen", "--out-points", str(a), "--out-boxes", str(b)], capsys)
         assert code == 1
         assert "PAN_SEED" in err
+
+    @pytest.mark.parametrize("section, fields, name", BAD_SPECS)
+    def test_bad_spec_value_names_field(self, tmp_path, capsys, section, fields, name):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({section: fields}))
+        points, boxes = tmp_path / "p.jsonl", tmp_path / "b.jsonl"
+        code, _, err = run(["gen", "--spec", str(spec_path), "--seed", "1",
+                            "--out-points", str(points), "--out-boxes", str(boxes)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: field '{name}' must be ")
+        assert not points.exists() and not boxes.exists()
 
     def test_identical_invocations_byte_identical(self, tmp_path, capsys):
         outs = []

@@ -199,12 +199,11 @@ class TestMdca:
         rng = Rng(8)
         params = init_mcda(query_channels=4, map_channels=[3, 3], out_channels=2,
                            heads=3, points_per_head=4, value_dim=5, rng=rng)
-        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, 3)), meters_per_cell=1.0)
-                for _ in range(2)]
-        capture = {}
-        mdca(rng.normal(size=(6, 4)), rng.random(size=(6, 2)), maps, params,
-             capture=capture)
-        sums = capture["weights"].sum(axis=(2, 3))  # over (modality, point)
+        query = rng.normal(size=(6, 4))
+        logits = query @ params.weight_net.weight + params.weight_net.bias
+        weights = pan.fusion._normalized_weights(logits, params)
+        assert weights.shape == (6, 3, 2, 4)
+        sums = weights.sum(axis=(2, 3))  # over (modality, point)
         assert np.allclose(sums, 1.0, atol=1e-9)
 
     def test_per_modality_normalization(self):
@@ -212,14 +211,11 @@ class TestMdca:
         params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=2,
                            heads=3, points_per_head=4, value_dim=5, rng=rng,
                            normalize_jointly=False)
-        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, c)), meters_per_cell=1.0)
-                for c in (3, 2)]
         query = rng.normal(size=(6, 4))
-        capture = {}
-        mdca(query, rng.random(size=(6, 2)), maps, params, capture=capture)
-        weights = capture["weights"]
+        logits = query @ params.weight_net.weight + params.weight_net.bias
+        weights = pan.fusion._normalized_weights(logits, params)
         assert np.allclose(weights.sum(axis=3), 1.0, atol=1e-12)  # over the points only
-        logits = (query @ params.weight_net.weight + params.weight_net.bias).reshape(6, 3, 2, 4)
+        logits = logits.reshape(6, 3, 2, 4)
         for q in range(6):
             for hd in range(3):
                 for mod in range(2):
@@ -227,6 +223,13 @@ class TestMdca:
                     e = [math.exp(v - max(row)) for v in row]
                     want = [v / sum(e) for v in e]
                     assert np.allclose(weights[q, hd, mod], want, rtol=0.0, atol=1e-12)
+
+    def test_zero_queries(self):
+        rng = Rng(12)
+        params = init_mcda(query_channels=4, map_channels=[3], out_channels=2,
+                           heads=2, points_per_head=2, value_dim=3, rng=rng)
+        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, 3)), meters_per_cell=1.0)]
+        assert mdca(np.zeros((0, 4)), np.zeros((0, 2)), maps, params).shape == (0, 2)
 
     def test_wrong_modality_count(self):
         rng = Rng(9)

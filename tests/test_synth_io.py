@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +24,52 @@ from pan.metrics import EvalConfig, FrameAnnotations, evaluate
 from pan.pillars import SWEEP_OFFSET, VX, VY, X, Y, PointCloud
 from pan.synth import CLASS_SIZES, PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
 from pan.tensor import Rng
+
+
+# one bad value per case: the spec section, its fields, the field the error names
+BAD_SPECS = [
+    ("scene", {"condition": "fog"}, "condition"),
+    ("scene", {"n_objects": -1}, "n_objects"),
+    ("scene", {"n_objects": 2.5}, "n_objects"),
+    ("scene", {"n_frames": 0}, "n_frames"),
+    ("scene", {"n_sweeps": 0}, "n_sweeps"),
+    ("scene", {"sweep_period": -0.1}, "sweep_period"),
+    ("scene", {"points_per_object": [-3, 2]}, "points_per_object"),
+    ("scene", {"points_per_object": [5, 2]}, "points_per_object"),
+    ("scene", {"points_per_object": [1.5, 2]}, "points_per_object"),
+    ("scene", {"position_range": -1.0}, "position_range"),
+    ("scene", {"position_range": 0.0}, "position_range"),
+    ("scene", {"speed_range": [12.0, 0.0]}, "speed_range"),
+    ("scene", {"clutter_rate": -0.01}, "clutter_rate"),
+    ("scene", {"noise_pos": -0.1}, "noise_pos"),
+    ("scene", {"noise_rcs": "loud"}, "noise_rcs"),
+    ("scene", {"class_mix": {"car": -1.0, "bus": 2.0}}, "class_mix"),
+    ("scene", {"class_mix": {"car": 0.0}}, "class_mix"),
+    ("scene", {"class_mix": {"tank": 1.0}}, "class_mix"),
+    ("perturb", {"translation_sigma": -0.5}, "translation_sigma"),
+    ("perturb", {"scale_sigma": -0.1}, "scale_sigma"),
+    ("perturb", {"yaw_sigma": -0.1}, "yaw_sigma"),
+    ("perturb", {"velocity_sigma": -0.1}, "velocity_sigma"),
+    ("perturb", {"fp_rate": -1.0}, "fp_rate"),
+    ("perturb", {"drop_prob": 1.5}, "drop_prob"),
+    ("perturb", {"score_range": [0.5, 1.5]}, "score_range"),
+    ("perturb", {"score_range": [0.9, 0.1]}, "score_range"),
+    ("perturb", {"score_range": [-0.1, 0.5]}, "score_range"),
+    ("perturb", {"fp_position_range": -1.0}, "fp_position_range"),
+]
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("section, fields, name", BAD_SPECS)
+    def test_bad_value_names_field(self, section, fields, name):
+        spec = SceneSpec if section == "scene" else PerturbSpec
+        with pytest.raises(ValueError, match=rf"^field '{name}' must be .*, got "):
+            spec(**fields)
+
+    def test_edge_values_valid(self):
+        SceneSpec(n_objects=0, speed_range=(10.0, 10.0), points_per_object=(0, 0),
+                  sweep_period=0.0, class_mix={"car": 1.0, "bus": 0.0})
+        PerturbSpec(drop_prob=1.0, score_range=(1.0, 1.0), fp_rate=0.0)
 
 
 class TestGenerateScene:
@@ -468,6 +515,14 @@ class TestFeatureMapFormat:
         write_feature_map(path, np.ones((2, 2, 1)))
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ValueError, match=rf"odd\.panf: {problem}"):
+            read_feature_map(path)
+
+    @pytest.mark.parametrize("dims", [(2**20, 2**20, 2**10), (0xFFFFFFFF,) * 3],
+                             ids=["beyond-memory", "beyond-index"])
+    def test_panf_oversized_header_is_truncated_payload(self, tmp_path, dims):
+        path = tmp_path / "huge.panf"
+        path.write_bytes(b"PANF" + struct.pack("<III", *dims) + bytes(8))
+        with pytest.raises(ValueError, match=r"huge\.panf: truncated PANF payload"):
             read_feature_map(path)
 
     def test_pgm_header_and_normalization(self, tmp_path):

@@ -1,5 +1,8 @@
 """The seeded generator and the identity equality of array-holding dataclasses."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,11 @@ class TestRng:
         assert rng.choice(10) == ref.choice(10)
         assert rng.poisson(3.0) == ref.poisson(3.0)
         assert np.array_equal(rng.permutation(8), ref.permutation(8))
+
+    def test_import_pan_leaves_numpy_random_unloaded(self):
+        # the eval commands never draw, so importing pan must not load numpy.random
+        code = "import sys, pan; assert 'numpy.random' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def _backbone():
