@@ -4,7 +4,9 @@ The pipeline is pillarize -> gather -> enhance -> scatter -> conv refine.
 ``enhance`` runs only on the packed tokens, so the attention and MLP cost
 scales with the number of occupied pillars P instead of the grid area;
 ``count_work`` makes that ratio explicit. Attention takes its query rows in
-blocks of about 1 MiB of scores, so memory is O(block * P), not P x P.
+blocks of about 2 MiB of scores, so memory is O(block * P), not P x P. The
+1/sqrt(d_k) scale is folded into Q once, and each block divides its
+[rows, d_k] output by the row sums instead of normalising [rows, P] weights.
 Two-layer convolution afterwards halves the spatial dims and triples the
 channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
@@ -24,6 +26,7 @@ import numpy as np
 from .layers import (
     BatchNormStats,
     LinearParams,
+    _exp_rows,
     batch_norm2d,
     dropout,
     gelu,
@@ -34,7 +37,6 @@ from .layers import (
     linear,
     linear_backward,
     relu,
-    softmax_rows,
     softmax_rows_backward,
 )
 from .pillars import (PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, bin_points,
@@ -144,34 +146,37 @@ def init_backbone(pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig,
 # key, so each row's softmax is exact and only [rows, P] exists at a time.
 # Below 64 rows the two GEMMs per block lose more than the cache gains
 # (P = 8192: 3.5 s per call in 16-row blocks, 2.0 s in 64-row blocks).
-_ATTN_BLOCK_BYTES = 1 << 20
+# At P = 1887, f = 128 (one CPU of a 2-vCPU VM, one OpenBLAS thread) the
+# median call took 107-124 ms in 1 MiB blocks and 97-109 ms in 2 or 4 MiB
+# blocks. The generator keeps two blocks alive, so tracemalloc's peak at
+# P = 3000, f = 8 is 5.2 MB at 2 MiB and 9.4 MB at 4 MiB.
+_ATTN_BLOCK_BYTES = 2 << 20
 _ATTN_MIN_ROWS = 64
 
 
 def _row_blocks(p_count: int) -> list[slice]:
-    rows = max(_ATTN_MIN_ROWS, _ATTN_BLOCK_BYTES // (8 * p_count))
+    rows = max(_ATTN_MIN_ROWS, _ATTN_BLOCK_BYTES // (8 * max(p_count, 1)))
     return [slice(lo, min(lo + rows, p_count)) for lo in range(0, p_count, rows)]
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray, cfg: EnhancerConfig,
                        rng: np.random.Generator | None = None, training: bool = False):
-    """Yield (head slice, row block, softmax weights) per head and query-row block.
+    """Yield (head slice, row block, exp scores, row sums) per head and query-row block.
 
-    Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim. In training
-    mode dropout hits the raw scores, before the softmax, as the paper reads
-    literally; the draws run head by head, row by row, as for one [P, P]
-    draw per head.
+    Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim; the scale is
+    folded into Q once. The softmax weights are the exp scores divided by
+    their row sums, a division left to the caller. In training mode dropout
+    hits the raw scores, before the softmax, as the paper reads literally;
+    the draws run head by head, row by row, as for one [P, P] draw per head.
     """
     dh = cfg.head_dim
-    scale = math.sqrt(dh)
+    q = q / math.sqrt(dh)
     for hd in range(cfg.num_heads):
         sl = slice(hd * dh, (hd + 1) * dh)
         kt = k[:, sl].T
         for blk in _row_blocks(len(q)):
-            scores = q[blk, sl] @ kt
-            scores /= scale
-            scores = dropout(scores, cfg.dropout_p, rng, training)
-            yield sl, blk, softmax_rows(scores)
+            scores = dropout(q[blk, sl] @ kt, cfg.dropout_p, rng, training)
+            yield (sl, blk, *_exp_rows(scores))
 
 
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
@@ -179,20 +184,19 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                    training: bool = False) -> np.ndarray:
     """Scaled dot-product self-attention over pillar tokens [P, f].
 
-    The weights come from ``_attention_weights``. Query rows go in blocks of
-    about 1 MiB of scores (at least 64 rows), so memory is O(block * P).
-    P = 0 passes through as an empty tensor.
+    The exp scores come from ``_attention_weights``. Query rows go in blocks
+    of about 2 MiB of scores (at least 64 rows), so memory is O(block * P).
+    The 1/sqrt(d_k) scale is folded into Q, and each block divides its
+    [rows, d_k] output by the row sums instead of normalising the [rows, P]
+    weights. P = 0 gives no blocks and an empty [0, f] output.
     """
     x = np.asarray(x, dtype=DTYPE)
-    p_count, f = x.shape
-    if p_count == 0:
-        return np.zeros((0, f))
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    out = np.empty((p_count, f))
-    for sl, blk, weights in _attention_weights(q, k, cfg, rng, training):
-        out[blk, sl] = weights @ v[:, sl]
+    out = np.empty(x.shape)
+    for sl, blk, e, sums in _attention_weights(q, k, cfg, rng, training):
+        np.divide(e @ v[:, sl], sums, out=out[blk, sl])
     if cfg.use_attn_out:
         out = linear(out, params.attn_out)
     return out
@@ -209,7 +213,8 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for sl, blk, weights in _attention_weights(q, k, cfg):
+    for sl, blk, weights, sums in _attention_weights(q, k, cfg):
+        weights /= sums
         d_head = d_out[blk, sl]
         dv[:, sl] += weights.T @ d_head
         d_scores = softmax_rows_backward(d_head @ v[:, sl].T, weights)

@@ -76,15 +76,26 @@ def linear_backward(dy: np.ndarray, p: LinearParams) -> np.ndarray:
 # softmax / normalization / activations
 # ---------------------------------------------------------------------------
 
+def _exp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x - row max) written into the float64 [rows, n] array ``x``.
+
+    Returns ``(x, row sums)``; each sum is in [1, n]. A NaN or +inf in a row,
+    or a row of only -inf, makes that row's max non-finite, and no finite max
+    gives a non-finite exp, so checking the [rows, 1] max covers the output.
+    """
+    x -= check_finite(x.max(axis=1, keepdims=True), "softmax row max")
+    np.exp(x, out=x)
+    return x, x.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction."""
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"softmax_rows: need a 2-D input with columns, got shape {x.shape}")
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return check_finite(e, "softmax output")
+    e = np.array(x, dtype=DTYPE)
+    if e.ndim != 2 or e.shape[1] < 1:
+        raise ValueError(f"softmax_rows: need a 2-D input with columns, got shape {e.shape}")
+    e, sums = _exp_rows(e)
+    e /= sums
+    return e
 
 
 def softmax_rows_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -44,6 +44,9 @@ _BASE_RCS = {
 
 _VEHICLES = ("car", "truck", "bus", "trailer", "construction_vehicle")
 
+# objects are placed more than this many meters from the ego position
+EGO_KEEP_OUT = 3.0
+
 
 def _require(ok: bool, name: str, rule: str, value) -> None:
     """Raise ValueError naming the spec field ``name`` unless ``ok``."""
@@ -95,7 +98,8 @@ class SceneSpec:
                               "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
                        integers=("n_objects", "n_sweeps", "n_frames"),
                        at_least={"n_sweeps": 1, "n_frames": 1})
-        _require(self.position_range > 0, "position_range", "> 0", self.position_range)
+        _require(self.position_range > EGO_KEEP_OUT, "position_range", f"> {EGO_KEEP_OUT}",
+                 self.position_range)
         _require(_is_range(self.points_per_object, low=0, integers=True), "points_per_object",
                  "two integers 0 <= lo <= hi", self.points_per_object)
         _require(_is_range(self.speed_range), "speed_range", "two numbers lo <= hi",
@@ -182,7 +186,7 @@ def generate_scene(spec: SceneSpec, rng: np.random.Generator,
                 > radius + math.hypot(b.w, b.l) / 2.0
                 for b in boxes
             )
-            if clear and math.hypot(x, y) > 3.0:  # keep off the ego position
+            if clear and math.hypot(x, y) > EGO_KEEP_OUT:
                 placed = True
                 break
         if not placed:

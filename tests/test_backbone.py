@@ -93,8 +93,8 @@ def _stacked_weights(x, params, cfg):
     q = x @ params.q.weight + params.q.bias
     k = x @ params.k.weight + params.k.bias
     weights = np.full((cfg.num_heads, len(x), len(x)), np.nan)
-    for sl, blk, w in backbone._attention_weights(q, k, cfg):
-        weights[sl.start // cfg.head_dim, blk] = w
+    for sl, blk, e, sums in backbone._attention_weights(q, k, cfg):
+        weights[sl.start // cfg.head_dim, blk] = e / sums
     return weights
 
 
@@ -149,6 +149,14 @@ class TestSelfAttention:
         cfg = EnhancerConfig(embed_dim=8, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(4))
         assert self_attention(np.zeros((0, 8)), params, cfg).shape == (0, 8)
+
+    def test_overflowing_scores_are_an_error(self):
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(4, cfg, Rng(4))
+        x = Rng(5).normal(size=(6, 8)) * 1e160
+        # the score GEMM's own overflow warns; the check raises at the row max
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="row max"):
+            self_attention(x, params, cfg)
 
     def test_matches_loop_oracle(self):
         cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)

@@ -159,3 +159,12 @@ def test_enhance_grad():
 
     tokens = Rng(17).normal(size=(3, 4))
     assert grad_check(f, tokens) < TOL
+
+
+def test_zero_tokens_input_grad():
+    cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0, conv_enabled=False)
+    params = init_enhancer(4, cfg, Rng(18))
+    grad = enhance_input_grad(np.zeros((0, 4)), params, cfg, np.zeros((0, 4)))
+    assert grad.shape == (0, 4)
+    grad = self_attention_input_grad(np.zeros((0, 8)), params, cfg, np.zeros((0, 8)))
+    assert grad.shape == (0, 8)

@@ -16,6 +16,7 @@ from pan.layers import (
     conv2d,
     dropout,
     _erf,
+    _exp_rows,
     gelu,
     gelu_backward,
     init_linear,
@@ -126,6 +127,30 @@ class TestSoftmax:
     def test_non_finite_input_is_an_error(self):
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             softmax_rows(np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("row", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]])
+    def test_non_finite_row_fails_at_the_row_max(self, row):
+        # no errstate: a NaN computed before the check would warn, and warnings fail
+        with pytest.raises(FloatingPointError, match="row max"):
+            softmax_rows(np.array([row]))
+
+    def test_minus_inf_score_gets_zero_weight(self):
+        assert np.array_equal(softmax_rows(np.array([[-np.inf, 1.0]])), [[0.0, 1.0]])
+
+    def test_leaves_input_unchanged(self):
+        x = Rng(31).normal(size=(4, 6))
+        before = x.copy()
+        softmax_rows(x)
+        assert np.array_equal(x, before)
+
+    def test_exp_rows_writes_into_its_argument(self):
+        x = Rng(32).normal(size=(4, 6)) * 10
+        want = np.exp(x - x.max(axis=1, keepdims=True))
+        e, sums = _exp_rows(x)
+        assert e is x
+        assert np.array_equal(x, want)
+        assert np.array_equal(sums, want.sum(axis=1, keepdims=True))
+        assert np.all(sums >= 1.0)
 
 
 class TestLayerNorm:

@@ -56,6 +56,9 @@ BAD_SPECS = [
     ("perturb", {"score_range": [0.9, 0.1]}, "score_range"),
     ("perturb", {"score_range": [-0.1, 0.5]}, "score_range"),
     ("perturb", {"fp_position_range": -1.0}, "fp_position_range"),
+    # inside the ego keep-out no object can be placed
+    ("scene", {"position_range": 2.0}, "position_range"),
+    ("scene", {"position_range": 3.0}, "position_range"),
 ]
 
 
