@@ -41,7 +41,8 @@ from .layers import (
 )
 from .pillars import (PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, bin_points,
                       gather, init_pfn, pillarize, scatter)
-from .tensor import DTYPE, Rng, check_finite
+from .tensor import (DTYPE, Rng, check_finite, check_number_fields, check_numbers, finite_numbers,
+                     require)
 
 
 @dataclass
@@ -54,15 +55,17 @@ class EnhancerConfig:
     use_attn_out: bool = True
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1: {self.num_heads}")
+        # even kernels are rejected by conv_refine, which needs odd ones
+        check_numbers(self, ("embed_dim", "num_heads", "conv_kernel"),
+                      integers=("embed_dim", "num_heads", "conv_kernel"),
+                      at_least={"embed_dim": 1, "num_heads": 1, "conv_kernel": 1})
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
-        # even kernels are rejected by conv_refine, which needs odd ones
-        if self.conv_kernel < 1:
-            raise ValueError(f"conv_kernel must be >= 1: {self.conv_kernel}")
+        check_number_fields({"dropout_p": self.dropout_p})
+        require(0 <= self.dropout_p < 1, "dropout_p", "in [0, 1)", self.dropout_p)
+        for name in ("conv_enabled", "use_attn_out"):
+            require(isinstance(getattr(self, name), bool), name, "true or false",
+                    getattr(self, name))
 
     @property
     def head_dim(self) -> int:
@@ -488,13 +491,43 @@ def save_params(path, params: BackboneParams) -> None:
         fh.write("\n")
 
 
-def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> BackboneParams:
-    """Read parameters written by ``save_params`` and validate every shape."""
+def _read_param_arrays(path) -> dict:
+    """Name -> array of a ``save_params`` file, checked record by record; an
+    error names the file, the parameter (or the record's index) and the field."""
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: must be a JSON list of parameter records, "
+                         f"got {type(records).__name__}")
     arrays = {}
-    for rec in records:
-        arrays[rec["name"]] = np.array(rec["values"], dtype=DTYPE).reshape(rec["shape"])
+    for index, rec in enumerate(records):
+        label = f"record {index}"
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError(f"must be an object, got {json.dumps(rec, default=repr)}")
+            require(isinstance(rec.get("name"), str), "name", "a string", rec.get("name"))
+            label = f"parameter {rec['name']!r}"
+            require(rec["name"] not in arrays, "name", "unique", rec["name"])
+            shape = rec.get("shape")
+            require(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape),
+                    "shape", "a list of integers >= 0", shape)
+            values = rec.get("values")
+            if not isinstance(values, list) or len(values) != math.prod(shape):
+                got = (f"{len(values)} values" if isinstance(values, list)
+                       else json.dumps(values, default=repr))
+                raise ValueError(f"field 'values' must be a list of {math.prod(shape)} "
+                                 f"numbers, got {got}")
+            if not finite_numbers(values):
+                check_number_fields({f"values[{i}]": v for i, v in enumerate(values)})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {label}: {exc}") from None
+        arrays[rec["name"]] = np.array(values, dtype=DTYPE).reshape(shape)
+    return arrays
+
+
+def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> BackboneParams:
+    """Read parameters written by ``save_params`` and validate every shape."""
+    arrays = _read_param_arrays(path)
     params = init_backbone(pillar_cfg, enh_cfg, Rng(0))
     named = _named_arrays(params)
     unknown = sorted(set(arrays) - {name for name, _ in named})

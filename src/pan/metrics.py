@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import check_number_fields, finite_sum
+from .tensor import check_number_fields, finite_sum, require
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -113,6 +113,10 @@ class EvalConfig:
             raise ValueError(f"match_thresholds_m must be positive and strictly ascending: {thr}")
         if not self.tp_threshold_m > 0:
             raise ValueError(f"tp_threshold_m must be positive: {self.tp_threshold_m}")
+        check_number_fields({"min_recall": self.min_recall, "min_precision": self.min_precision})
+        # from 0.995 up no point of the 101-point recall grid lies past min_recall
+        require(0 <= self.min_recall < 0.995, "min_recall", "in [0, 0.995)", self.min_recall)
+        require(0 <= self.min_precision < 1, "min_precision", "in [0, 1)", self.min_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +131,27 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], threshold_m: float):
     go to the lower GT index). Returns (matches, unmatched_pred,
     unmatched_gt) with matches as (pred_idx, gt_idx) pairs.
     """
-    order = sorted(range(len(pred)), key=lambda idx: (-(pred[idx].score or 0.0), idx))
-    taken: set[int] = set()
-    matches: list[tuple[int, int]] = []
-    unmatched_pred: list[int] = []
-    for pi in order:
-        best_dist = math.inf
-        best_gi = None
-        for gi, g in enumerate(gt):
-            if gi in taken:
-                continue
-            d = pred[pi].bev_distance_to(g)
-            if d < best_dist:
-                best_dist = d
-                best_gi = gi
-        if best_gi is not None and best_dist < threshold_m:
-            taken.add(best_gi)
-            matches.append((pi, best_gi))
-        else:
-            unmatched_pred.append(pi)
-    unmatched_gt = [gi for gi in range(len(gt)) if gi not in taken]
+    order, per_threshold = _match(gt, pred, (threshold_m,))
+    matches = per_threshold[threshold_m]
+    matched_pred = {pi for pi, _ in matches}
+    unmatched_pred = [pi for pi in order if pi not in matched_pred]
+    unmatched_gt = sorted(set(range(len(gt))) - {gi for _, gi in matches})
     return matches, unmatched_pred, unmatched_gt
+
+
+def _match(gt: list[Box3D], pred: list[Box3D], thresholds) -> tuple[list[int], dict]:
+    """``match_frame``'s greedy for every threshold in one walk. Returns the
+    score order and threshold -> [(pred_idx, gt_idx), ...] in match order."""
+    order = sorted(range(len(pred)), key=lambda idx: (-(pred[idx].score or 0.0), idx))
+    states = {thr: (set(), []) for thr in thresholds}  # taken GTs and matches
+    for pi in order:
+        row = sorted((d, gi) for gi, d in enumerate(map(pred[pi].bev_distance_to, gt)))
+        for thr, (taken, matches) in states.items():
+            d, gi = next(((d, gi) for d, gi in row if gi not in taken), (math.inf, None))
+            if d < thr:
+                taken.add(gi)
+                matches.append((pi, gi))
+    return order, {thr: matches for thr, (_, matches) in states.items()}
 
 
 def _by_class(frames: list[FrameAnnotations], band: tuple | None = None) -> dict:
@@ -170,33 +174,40 @@ def _by_class(frames: list[FrameAnnotations], band: tuple | None = None) -> dict
 # average precision
 # ---------------------------------------------------------------------------
 
-def _match_class(groups: list[tuple[list, list]], threshold_m: float, cfg: EvalConfig):
-    """AP and matched (pred, gt) pairs of one class's per-frame (gt, pred)
-    groups, in frame then match order."""
+def _match_class(groups: list[tuple[list, list]], thresholds, cfg: EvalConfig) -> dict:
+    """Threshold -> (AP, matched (pred, gt) pairs in frame then match order)
+    of one class's per-frame (gt, pred) groups, from one walk per frame."""
     n_pos = 0
-    scored: list[tuple[float, bool]] = []  # (score, is_true_positive)
-    pairs: list[tuple[Box3D, Box3D]] = []
+    scores: list[float] = []
+    pairs: dict = {thr: [] for thr in thresholds}
+    hits: dict = {thr: [] for thr in thresholds}  # true positives as indices into scores
     for gt, pred in groups:
         n_pos += len(gt)
-        matches, _, _ = match_frame(gt, pred, threshold_m)
-        pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
-        matched_pred = {pi for pi, _ in matches}
-        scored.extend((p.score or 0.0, pi in matched_pred) for pi, p in enumerate(pred))
+        for thr, matches in _match(gt, pred, thresholds)[1].items():
+            pairs[thr].extend((pred[pi], gt[gi]) for pi, gi in matches)
+            hits[thr].extend(len(scores) + pi for pi, _ in matches)
+        scores.extend(p.score or 0.0 for p in pred)
+    rank = np.argsort(np.negative(scores), kind="stable")
+    return {thr: (_ap(rank, hits[thr], n_pos, cfg), pairs[thr]) for thr in pairs}
+
+
+def _ap(rank: np.ndarray, hits: list[int], n_pos: int, cfg: EvalConfig) -> float | None:
+    """AP of the predictions in ``rank`` order, of which ``hits`` are true positives."""
     if n_pos == 0:
-        return None, pairs
-    if not scored:
-        return 0.0, pairs
-    scored.sort(key=lambda sc: -sc[0])
-    tp = np.cumsum([1.0 if hit else 0.0 for _, hit in scored])
-    fp = np.cumsum([0.0 if hit else 1.0 for _, hit in scored])
+        return None
+    if not rank.size:
+        return 0.0
+    is_tp = np.zeros(rank.size, dtype=bool)
+    is_tp[hits] = True
+    tp = np.cumsum(is_tp[rank])
     recall = tp / n_pos
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, rank.size + 1)
     grid = np.linspace(0.0, 1.0, 101)
     interp = np.interp(grid, recall, precision, right=0.0)
     start = round(100 * cfg.min_recall) + 1
     clipped = np.maximum(interp[start:] - cfg.min_precision, 0.0)
     # guard the [0, 1] range against float round-off in the normalization
-    return float(min(1.0, clipped.mean() / (1.0 - cfg.min_precision))), pairs
+    return float(min(1.0, clipped.mean() / (1.0 - cfg.min_precision)))
 
 
 def average_precision(frames: list[FrameAnnotations], class_name: str,
@@ -206,7 +217,7 @@ def average_precision(frames: list[FrameAnnotations], class_name: str,
     Returns None when the class has no ground truth (undefined, excluded
     from mAP); 0.0 when ground truth exists but nothing scores.
     """
-    return _match_class(_by_class(frames).get(class_name, []), threshold_m, cfg)[0]
+    return _match_class(_by_class(frames).get(class_name, []), (threshold_m,), cfg)[threshold_m][0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +343,11 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
             mean_ap=None, tp={}, nds=None, match_counts={},
         )
 
-    ap: dict = {}
-    class_tp: dict = {}
-    match_counts = {t: 0 for t in cfg.match_thresholds_m}
-    thresholds = sorted(set(cfg.match_thresholds_m) | {cfg.tp_threshold_m})
-    for cls in classes_present:
-        for thr in thresholds:
-            cls_ap, pairs = _match_class(groups[cls], thr, cfg)
-            if thr in match_counts:
-                ap.setdefault(cls, {})[thr] = cls_ap
-                match_counts[thr] += len(pairs)
-            if thr == cfg.tp_threshold_m:
-                class_tp[cls] = tp_errors(pairs, cls)
+    thresholds = (*cfg.match_thresholds_m, cfg.tp_threshold_m)
+    matched = {cls: _match_class(groups[cls], thresholds, cfg) for cls in classes_present}
+    ap = {cls: {thr: m[thr][0] for thr in cfg.match_thresholds_m} for cls, m in matched.items()}
+    class_tp = {cls: tp_errors(m[cfg.tp_threshold_m][1], cls) for cls, m in matched.items()}
+    match_counts = {t: sum(len(m[t][1]) for m in matched.values()) for t in cfg.match_thresholds_m}
 
     ap_values = [v for per_thr in ap.values() for v in per_thr.values() if v is not None]
     mean_ap = float(np.mean(ap_values))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, linear, relu
-from .tensor import DTYPE
+from .tensor import DTYPE, check_number_fields, check_numbers, require
 
 
 class RadarPoint(NamedTuple):
@@ -80,16 +80,18 @@ class PillarConfig:
     out_channels: int = 32
 
     def __post_init__(self):
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError("empty BEV range")
-        if not self.pillar_size > 0:
-            raise ValueError(f"pillar_size must be positive: {self.pillar_size}")
+        check_number_fields({name: getattr(self, name)
+                             for name in ("x_min", "x_max", "y_min", "y_max", "pillar_size")})
+        check_numbers(self, ("max_points_per_pillar", "out_channels"),
+                      integers=("max_points_per_pillar", "out_channels"),
+                      at_least={"max_points_per_pillar": 1, "out_channels": 1})
+        require(self.x_max > self.x_min, "x_max", f"> x_min {self.x_min:g}", self.x_max)
+        require(self.y_max > self.y_min, "y_max", f"> y_min {self.y_min:g}", self.y_max)
+        require(self.pillar_size > 0, "pillar_size", "> 0", self.pillar_size)
         for span, name in ((self.x_max - self.x_min, "x"), (self.y_max - self.y_min, "y")):
             cells = span / self.pillar_size
             if abs(cells - round(cells)) > 1e-9:
                 raise ValueError(f"{name} range is not an integer number of pillars")
-        if self.max_points_per_pillar < 1:
-            raise ValueError("max_points_per_pillar must be >= 1")
 
     @property
     def width(self) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .tensor import check_number_fields
+
 KMH_TO_MS = 1000.0 / 3600.0
 
 
@@ -21,6 +23,7 @@ class SafetyInput:
     t_r: float = 1.0   # reaction time, s
 
     def __post_init__(self):
+        check_number_fields({"v0": self.v0, "mu": self.mu, "g": self.g, "t_r": self.t_r})
         if self.v0 < 0:
             raise ValueError("speed must be nonnegative")
         if self.mu <= 0 or self.g <= 0:

@@ -11,7 +11,6 @@ closed form — which is what makes these scenes usable as metric oracles.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from .metrics import ATTRIBUTES, CLASS_NAMES, CONDITIONS, Box3D
 from .pillars import PointCloud
-from .tensor import check_number_fields, finite_numbers
+from .tensor import check_numbers, finite_numbers, require
 
 # nominal (w, l, h) per class, meters
 CLASS_SIZES = {
@@ -48,12 +47,6 @@ _VEHICLES = ("car", "truck", "bus", "trailer", "construction_vehicle")
 EGO_KEEP_OUT = 3.0
 
 
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    """Raise ValueError naming the spec field ``name`` unless ``ok``."""
-    if not ok:
-        raise ValueError(f"field {name!r} must be {rule}, got {json.dumps(value, default=repr)}")
-
-
 def _is_range(value, low: float = -math.inf, high: float = math.inf,
               integers: bool = False) -> bool:
     """True for a pair of finite numbers lo, hi with low <= lo <= hi <= high."""
@@ -61,16 +54,6 @@ def _is_range(value, low: float = -math.inf, high: float = math.inf,
         return False
     kind = numbers.Integral if integers else numbers.Real
     return all(isinstance(v, kind) for v in value) and low <= value[0] <= value[1] <= high
-
-
-def _check_numbers(spec, names: tuple, integers: tuple = (),
-                   at_least: dict | None = None) -> None:
-    """Every field in ``names`` is a finite number, an integer for those in
-    ``integers``, and >= its bound in ``at_least`` (0 when not listed)."""
-    check_number_fields({name: getattr(spec, name) for name in names}, integers)
-    for name in names:
-        bound = (at_least or {}).get(name, 0)
-        _require(getattr(spec, name) >= bound, name, f">= {bound}", getattr(spec, name))
 
 
 @dataclass
@@ -92,24 +75,24 @@ class SceneSpec:
     n_frames: int = 1
 
     def __post_init__(self):
-        _require(self.condition in CONDITIONS, "condition", f"one of {', '.join(CONDITIONS)}",
-                 self.condition)
-        _check_numbers(self, ("n_objects", "position_range", "clutter_rate", "noise_pos",
-                              "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
-                       integers=("n_objects", "n_sweeps", "n_frames"),
-                       at_least={"n_sweeps": 1, "n_frames": 1})
-        _require(self.position_range > EGO_KEEP_OUT, "position_range", f"> {EGO_KEEP_OUT}",
-                 self.position_range)
-        _require(_is_range(self.points_per_object, low=0, integers=True), "points_per_object",
-                 "two integers 0 <= lo <= hi", self.points_per_object)
-        _require(_is_range(self.speed_range), "speed_range", "two numbers lo <= hi",
-                 self.speed_range)
+        require(self.condition in CONDITIONS, "condition", f"one of {', '.join(CONDITIONS)}",
+                self.condition)
+        check_numbers(self, ("n_objects", "position_range", "clutter_rate", "noise_pos",
+                             "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
+                      integers=("n_objects", "n_sweeps", "n_frames"),
+                      at_least={"n_sweeps": 1, "n_frames": 1})
+        require(self.position_range > EGO_KEEP_OUT, "position_range", f"> {EGO_KEEP_OUT}",
+                self.position_range)
+        require(_is_range(self.points_per_object, low=0, integers=True), "points_per_object",
+                "two integers 0 <= lo <= hi", self.points_per_object)
+        require(_is_range(self.speed_range), "speed_range", "two numbers lo <= hi",
+                self.speed_range)
         mix = self.class_mix
-        _require(isinstance(mix, dict) and set(mix) <= set(CLASS_NAMES), "class_mix",
-                 f"keyed by {', '.join(CLASS_NAMES)}", mix)
+        require(isinstance(mix, dict) and set(mix) <= set(CLASS_NAMES), "class_mix",
+                f"keyed by {', '.join(CLASS_NAMES)}", mix)
         weights = list(mix.values())
-        _require(finite_numbers(weights) and min(weights, default=0) >= 0 and sum(weights) > 0,
-                 "class_mix", "weights >= 0 with a positive sum", mix)
+        require(finite_numbers(weights) and min(weights, default=0) >= 0 and sum(weights) > 0,
+                "class_mix", "weights >= 0 with a positive sum", mix)
 
 
 @dataclass
@@ -125,13 +108,13 @@ class PerturbSpec:
     fp_position_range: float = 45.0
 
     def __post_init__(self):
-        _check_numbers(self, ("translation_sigma", "scale_sigma", "yaw_sigma", "velocity_sigma",
-                              "fp_rate", "drop_prob", "attr_flip_prob", "fp_position_range"))
+        check_numbers(self, ("translation_sigma", "scale_sigma", "yaw_sigma", "velocity_sigma",
+                             "fp_rate", "drop_prob", "attr_flip_prob", "fp_position_range"))
         for name in ("drop_prob", "attr_flip_prob"):
-            _require(getattr(self, name) <= 1, name, "in [0, 1]", getattr(self, name))
-        _require(_is_range(self.score_range, 0.0, 1.0), "score_range",
-                 "two numbers 0 <= lo <= hi <= 1", self.score_range)
-        _require(self.fp_position_range > 0, "fp_position_range", "> 0", self.fp_position_range)
+            require(getattr(self, name) <= 1, name, "in [0, 1]", getattr(self, name))
+        require(_is_range(self.score_range, 0.0, 1.0), "score_range",
+                "two numbers 0 <= lo <= hi <= 1", self.score_range)
+        require(self.fp_position_range > 0, "fp_position_range", "> 0", self.fp_position_range)
 
 
 def _default_attribute(cls: str, speed: float) -> str | None:

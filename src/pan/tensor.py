@@ -54,6 +54,22 @@ def check_number_fields(fields: dict, integers: tuple = ()) -> None:
             raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
+def require(ok: bool, name: str, rule: str, value) -> None:
+    """Raise ValueError naming the field ``name`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"field {name!r} must be {rule}, got {json.dumps(value, default=repr)}")
+
+
+def check_numbers(obj, names: tuple, integers: tuple = (),
+                  at_least: dict | None = None) -> None:
+    """Every field of ``obj`` in ``names`` is a finite number, an integer for
+    those in ``integers``, and >= its bound in ``at_least`` (0 when not listed)."""
+    check_number_fields({name: getattr(obj, name) for name in names}, integers)
+    for name in names:
+        bound = (at_least or {}).get(name, 0)
+        require(getattr(obj, name) >= bound, name, f">= {bound}", getattr(obj, name))
+
+
 def Rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: a ``numpy.random.Generator`` on PCG64,
     seeded with the seed's low 64 bits.

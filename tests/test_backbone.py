@@ -741,6 +741,32 @@ class TestParamsIO:
             load_params(path, pcfg, cfg)
 
 
+    @pytest.mark.parametrize("text, where, message", [
+        ('{"pfn.lin.weight": []}', "", "must be a JSON list of parameter records, got dict"),
+        ("[5]", "record 0: ", "must be an object, got 5"),
+        ('[{"name": 3, "shape": [], "values": [1.0]}]', "record 0: ",
+         "field 'name' must be a string, got 3"),
+        ('[{"name": "a", "shape": [-1], "values": []}]', "parameter 'a': ",
+         "field 'shape' must be a list of integers >= 0, got [-1]"),
+        ('[{"name": "a", "shape": [1.5], "values": [1.0]}]', "parameter 'a': ",
+         "field 'shape' must be a list of integers >= 0, got [1.5]"),
+        ('[{"name": "a", "shape": [2]}]', "parameter 'a': ",
+         "field 'values' must be a list of 2 numbers, got null"),
+        ('[{"name": "a", "shape": [2], "values": [1.0, true]}]', "parameter 'a': ",
+         "field 'values[1]' must be a number, got true"),
+        ('[{"name": "a", "shape": [2], "values": [NaN, 1.0]}]', "parameter 'a': ",
+         "field 'values[0]' is not finite"),
+        ('[{"name": "a", "shape": [], "values": [1.0]}, {"name": "a", "shape": [], "values": [2.0]}]',
+         "parameter 'a': ", 'field \'name\' must be unique, got "a"'),
+    ])
+    def test_load_rejects_malformed_record_by_field(self, tmp_path, text, where, message):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_params(path, small_pillar_cfg(), EnhancerConfig(embed_dim=8, dropout_p=0.0))
+        assert str(info.value) == f"{path}: {where}{message}"
+
+
 class TestConfigValidation:
     def test_zero_heads_rejected(self):
         with pytest.raises(ValueError, match="num_heads"):
@@ -750,3 +776,24 @@ class TestConfigValidation:
     def test_conv_kernel_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="conv_kernel"):
             EnhancerConfig(conv_kernel=k)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"embed_dim": 0}, "field 'embed_dim' must be >= 1, got 0"),
+        ({"embed_dim": 8.0}, "field 'embed_dim' must be an integer, got 8.0"),
+        ({"num_heads": True}, "field 'num_heads' must be an integer, got true"),
+        ({"conv_kernel": "3"}, 'field \'conv_kernel\' must be an integer, got "3"'),
+        ({"dropout_p": None}, "field 'dropout_p' must be a number, got null"),
+        ({"dropout_p": math.nan}, "field 'dropout_p' is not finite"),
+        ({"dropout_p": 1.0}, "field 'dropout_p' must be in [0, 1), got 1.0"),
+        ({"dropout_p": -0.1}, "field 'dropout_p' must be in [0, 1), got -0.1"),
+        ({"conv_enabled": 1}, "field 'conv_enabled' must be true or false, got 1"),
+        ({"use_attn_out": "false"}, 'field \'use_attn_out\' must be true or false, got "false"'),
+    ])
+    def test_degenerate_enhancer_rejected_by_field(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            EnhancerConfig(**fields)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        cfg = EnhancerConfig(embed_dim=np.int64(8), num_heads=np.int64(2))
+        assert cfg.head_dim == 4

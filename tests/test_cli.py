@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -175,6 +176,59 @@ class TestBackbone:
         assert err == f"error: unknown {section} config keys: {key}\n"
 
 
+    @pytest.mark.parametrize("section, fields, name", [
+        ("enhancer", {"embed_dim": 0}, "embed_dim"),
+        ("pillar", {"out_channels": 0}, "out_channels"),
+        ("pillar", {"x_min": math.nan}, "x_min"),
+        ("pillar", {"max_points_per_pillar": 2.5}, "max_points_per_pillar"),
+        ("pillar", {"pillar_size": "1"}, "pillar_size"),
+        ("enhancer", {"dropout_p": None}, "dropout_p"),
+        ("enhancer", {"num_heads": True}, "num_heads"),
+        ("enhancer", {"conv_kernel": 3.0}, "conv_kernel"),
+        ("enhancer", {"conv_enabled": "yes"}, "conv_enabled"),
+        ("enhancer", {"use_attn_out": 1}, "use_attn_out"),
+        ("pillar", {"x_max": -60.0}, "x_max"),
+    ])
+    def test_degenerate_config_names_field(self, tmp_path, capsys, scene_files,
+                                           section, fields, name):
+        points, _ = scene_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: fields}))
+        code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
+                              "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and "wrote" not in out
+        assert err.startswith(f"error: field '{name}' ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("o*.panf"))
+
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda recs: recs[0]["values"].__setitem__(0, "1"), "parameter 'pfn.lin.weight'",
+         'field \'values[0]\' must be a number, got "1"'),
+        (lambda recs: recs[1]["values"].__setitem__(2, None), "parameter 'pfn.lin.bias'",
+         "field 'values[2]' must be a number, got null"),
+        (lambda recs: recs[0].pop("name"), "record 0", "field 'name' must be a string, got null"),
+        (lambda recs: recs[1]["values"].pop(), "parameter 'pfn.lin.bias'",
+         "field 'values' must be a list of 4 numbers, got 3 values"),
+    ])
+    def test_malformed_params_file_names_field(self, tmp_path, capsys, scene_files,
+                                               edit, where, message):
+        points, _ = scene_files
+        cfg = small_config(tmp_path)
+        params_path = tmp_path / "params.json"
+        code, _, _ = run(["backbone", "--points", str(points), "--config", str(cfg),
+                          "--params", "random:9", "--save-params", str(params_path),
+                          "--out", str(tmp_path / "a.panf")], capsys)
+        assert code == 0
+        records = json.loads(params_path.read_text())
+        edit(records)
+        params_path.write_text(json.dumps(records))
+        code, out, err = run(["backbone", "--points", str(points), "--config", str(cfg),
+                              "--params", str(params_path), "--out", str(tmp_path / "b.panf")],
+                             capsys)
+        assert code == 1 and "wrote" not in out
+        assert err == f"error: {params_path}: {where}: {message}\n"
+        assert not list(tmp_path.glob("b*.panf"))
+
+
 class TestEval:
     def test_report_and_table(self, tmp_path, capsys, scene_files):
         _, boxes = scene_files
@@ -268,6 +322,17 @@ class TestSafety:
         code, _, err = run(["safety", "--speed-kmh", "50", "--mu", "0"], capsys)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--speed-kmh", "nan"], "v0"),
+        (["--speed-kmh", "inf"], "v0"),
+        (["--speed-kmh", "50", "--mu", "inf"], "mu"),
+        (["--speed-kmh", "50", "--tr", "nan"], "t_r"),
+    ])
+    def test_non_finite_input_names_field(self, capsys, flags, name):
+        code, out, err = run(["safety", *flags], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: field '{name}' is not finite\n"
 
 
 class TestEvalGolden:

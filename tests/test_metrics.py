@@ -7,6 +7,7 @@ fractions, and the single-frame report is derived pair by pair.
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,32 @@ def brute_force_max_matching(gt, pred, threshold):
         if best == size:
             break
     return best
+
+
+def per_threshold_greedy(gt, pred, threshold):
+    """The greedy written out for one threshold: predictions in descending
+    score order (ties to the lower index) each take the nearest GT not yet
+    taken (ties to the lower GT index) when it is nearer than ``threshold``."""
+    order = sorted(range(len(pred)), key=lambda idx: (-(pred[idx].score or 0.0), idx))
+    taken, matches, unmatched_pred = set(), [], []
+    for pi in order:
+        best_dist, best_gi = math.inf, None
+        for gi, g in enumerate(gt):
+            d = pred[pi].bev_distance_to(g)
+            if gi not in taken and d < best_dist:
+                best_dist, best_gi = d, gi
+        if best_gi is not None and best_dist < threshold:
+            taken.add(best_gi)
+            matches.append((pi, best_gi))
+        else:
+            unmatched_pred.append(pi)
+    return matches, unmatched_pred, [gi for gi in range(len(gt)) if gi not in taken]
+
+
+# half-metre lattice points and repeated scores, so distance and score ties are common
+LATTICE = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
+    lambda ij: (ij[0] / 2, ij[1] / 2))
+TIED_SCORES = st.sampled_from([None, 0.0, 0.5, 0.7, 0.9])
 
 
 class TestMatchFrame:
@@ -109,6 +136,23 @@ class TestMatchFrame:
                 for (x, y), s in zip(rng.uniform(-4, 4, size=(3, 2)), rng.random(3))]
         matches, _, _ = match_frame(gt, pred, 2.0)
         assert len(matches) <= brute_force_max_matching(gt, pred, 2.0)
+
+    @given(st.lists(LATTICE, max_size=7), st.lists(st.tuples(LATTICE, TIED_SCORES), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_equals_per_threshold_greedy(self, gt_xy, pred_xy):
+        import pan.metrics
+
+        gt = [car(x, y) for x, y in gt_xy]
+        pred = [car(x, y, score=score) for (x, y), score in pred_xy]
+        thresholds = (0.5, 1.0, 2.0, 4.0)
+        order, walked = pan.metrics._match(gt, pred, thresholds)
+        # at threshold 0 nothing matches, so every prediction is listed in score order
+        assert order == per_threshold_greedy(gt, pred, 0.0)[1]
+        assert list(walked) == list(thresholds)
+        for thr in thresholds:
+            want = per_threshold_greedy(gt, pred, thr)
+            assert match_frame(gt, pred, thr) == want
+            assert walked[thr] == want[0]
 
 
 class TestAveragePrecision:
@@ -357,20 +401,24 @@ class TestEvaluate:
         import pan.metrics
 
         seen = Counter()
-        real = pan.metrics.match_frame
+        walked_thresholds = set()
+        real = pan.metrics._match
 
-        def counting(gt, pred, threshold_m):
-            seen[(tuple(map(id, gt + pred)), threshold_m)] += 1
-            return real(gt, pred, threshold_m)
+        def counting(gt, pred, thresholds):
+            seen[tuple(map(id, gt + pred))] += 1
+            walked_thresholds.add(frozenset(thresholds))
+            return real(gt, pred, thresholds)
 
-        monkeypatch.setattr(pan.metrics, "match_frame", counting)
+        monkeypatch.setattr(pan.metrics, "_match", counting)
         frames = self._mixed_frames()
         for cfg in (self.CFG, EvalConfig(tp_threshold_m=3.0)):
             seen.clear()
+            walked_thresholds.clear()
             evaluate(frames, cfg)
-            n_thresholds = len(set(cfg.match_thresholds_m) | {cfg.tp_threshold_m})
+            # one walk per (frame, class), and each walk serves every threshold
             assert set(seen.values()) == {1}
-            assert len(seen) == len(frames) * 2 * n_thresholds  # car and pedestrian
+            assert len(seen) == len(frames) * 2  # car and pedestrian
+            assert walked_thresholds == {frozenset(cfg.match_thresholds_m) | {cfg.tp_threshold_m}}
 
     def test_tp_threshold_outside_ap_thresholds(self):
         cfg = EvalConfig(tp_threshold_m=3.0)
@@ -455,3 +503,26 @@ class TestEvalConfig:
     def test_tp_threshold_must_be_positive(self, tp):
         with pytest.raises(ValueError, match="tp_threshold_m"):
             EvalConfig(tp_threshold_m=tp)
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("min_precision", 1.0, "must be in [0, 1), got 1.0"),
+        ("min_precision", -0.1, "must be in [0, 1), got -0.1"),
+        ("min_precision", math.nan, "is not finite"),
+        ("min_recall", 1.0, "must be in [0, 0.995), got 1.0"),
+        ("min_recall", 0.995, "must be in [0, 0.995), got 0.995"),
+        ("min_recall", -0.5, "must be in [0, 0.995), got -0.5"),
+        ("min_recall", math.nan, "is not finite"),
+        ("min_recall", "0.1", 'must be a number, got "0.1"'),
+        ("min_precision", True, "must be a number, got true"),
+    ])
+    def test_ap_floors_rejected_by_field(self, name, value, rule):
+        with pytest.raises(ValueError, match=re.escape(f"field '{name}' {rule}")):
+            EvalConfig(**{name: value})
+
+    def test_ap_floor_edges_accepted(self):
+        frames = [FrameAnnotations("f", "day", gt=[car(0, 0), car(15, 0)],
+                                   pred=[car(0, 0, score=0.9), car(40, 0, score=0.8)])]
+        for cfg in (EvalConfig(min_recall=0.0, min_precision=0.0),
+                    EvalConfig(min_recall=0.994, min_precision=0.999)):
+            report = evaluate(frames, cfg)
+            assert 0.0 <= report.mean_ap < 1.0

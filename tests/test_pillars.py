@@ -1,5 +1,6 @@
 """Pillarization, gather/scatter round trips, and sparsity invariants."""
 
+import math
 import re
 
 import numpy as np
@@ -278,3 +279,20 @@ class TestPillarConfig:
     def test_non_positive_pillar_size_rejected(self, size):
         with pytest.raises(ValueError, match="pillar_size"):
             small_cfg(pillar_size=size)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"x_min": math.nan}, "field 'x_min' is not finite"),
+        ({"y_max": math.inf}, "field 'y_max' is not finite"),
+        ({"pillar_size": "1"}, 'field \'pillar_size\' must be a number, got "1"'),
+        ({"pillar_size": 0.0}, "field 'pillar_size' must be > 0, got 0.0"),
+        ({"max_points_per_pillar": 2.5}, "field 'max_points_per_pillar' must be an integer, got 2.5"),
+        ({"max_points_per_pillar": 0}, "field 'max_points_per_pillar' must be >= 1, got 0"),
+        ({"out_channels": 0}, "field 'out_channels' must be >= 1, got 0"),
+        ({"out_channels": False}, "field 'out_channels' must be an integer, got false"),
+        ({"x_max": -50.0}, "field 'x_max' must be > x_min -50, got -50.0"),
+        ({"y_max": -60.0}, "field 'y_max' must be > y_min -50, got -60.0"),
+    ])
+    def test_degenerate_config_rejected_by_field(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            PillarConfig(**fields)
+        assert str(info.value) == message

@@ -29,6 +29,20 @@ class TestBrakingDistance:
             SafetyInput(v0=10.0, g=-9.81)
 
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"v0": float("nan")}, "field 'v0' is not finite"),
+        ({"v0": 10.0, "mu": float("inf")}, "field 'mu' is not finite"),
+        ({"v0": 10.0, "g": None}, "field 'g' must be a number, got null"),
+        ({"v0": 10.0, "t_r": float("nan")}, "field 't_r' is not finite"),
+        ({"v0": -1.0}, "speed must be nonnegative"),
+        ({"v0": 10.0, "t_r": -0.5}, "reaction time must be nonnegative"),
+    ])
+    def test_rejects_bad_fields(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            SafetyInput(**fields)
+        assert str(info.value) == message
+
+
 class TestReactionDistance:
     def test_one_second_at_city_speed(self):
         d = reaction_distance(SafetyInput(v0=V50, t_r=1.0))
