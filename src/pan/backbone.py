@@ -39,6 +39,7 @@ from .layers import (
     relu,
     softmax_rows_backward,
 )
+from .io import read_json
 from .pillars import (PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, bin_points,
                       gather, init_pfn, pillarize, scatter)
 from .tensor import (DTYPE, Rng, check_finite, check_number_fields, check_numbers, finite_numbers,
@@ -494,8 +495,7 @@ def save_params(path, params: BackboneParams) -> None:
 def _read_param_arrays(path) -> dict:
     """Name -> array of a ``save_params`` file, checked record by record; an
     error names the file, the parameter (or the record's index) and the field."""
-    with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: must be a JSON list of parameter records, "
                          f"got {type(records).__name__}")

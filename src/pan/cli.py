@@ -36,25 +36,29 @@ def _resolve_seed(value) -> int:
     return int(env)
 
 
-def _apply_section(default, data: dict, section: str):
-    names = {f.name for f in dataclasses.fields(type(default))}
-    unknown = sorted(set(data) - names)
+def _apply_section(cls, data, section: str, path):
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: section {section!r} must be a JSON object, "
+                         f"got {json.dumps(data)}")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
-    return dataclasses.replace(default, **data)
+    return cls(**data)
 
 
-def _load_backbone_config(path) -> tuple[PillarConfig, EnhancerConfig]:
-    pillar, enhancer = PillarConfig(), EnhancerConfig()
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        unknown = sorted(set(data) - {"pillar", "enhancer"})
-        if unknown:
-            raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-        pillar = _apply_section(pillar, data.get("pillar", {}), "pillar")
-        enhancer = _apply_section(enhancer, data.get("enhancer", {}), "enhancer")
-    return pillar, enhancer
+def _load_sections(path, kind: str, sections: dict) -> dict:
+    """The sections of a ``--config`` or ``--spec`` file, one JSON object of
+    objects, each built by its dataclass in ``sections``; a section the file
+    leaves out, and every section when ``path`` is None, is not in the result."""
+    data = {} if path is None else pio.read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: must be a JSON object of {kind} sections, "
+                         f"got {type(data).__name__}")
+    unknown = sorted(set(data) - set(sections))
+    if unknown:
+        raise ValueError(f"unknown {kind} sections: {', '.join(unknown)}")
+    return {name: _apply_section(cls, data[name], name, path)
+            for name, cls in sections.items() if name in data}
 
 
 def _load_or_init_params(spec: str, pillar_cfg, enh_cfg):
@@ -65,7 +69,10 @@ def _load_or_init_params(spec: str, pillar_cfg, enh_cfg):
 
 def _backbone_inputs(args, save_params_path=None):
     """Configs, parameters and point clouds shared by ``backbone`` and ``bench``."""
-    pillar_cfg, enh_cfg = _load_backbone_config(args.config)
+    config = _load_sections(args.config, "config",
+                            {"pillar": PillarConfig, "enhancer": EnhancerConfig})
+    pillar_cfg = config.get("pillar", PillarConfig())
+    enh_cfg = config.get("enhancer", EnhancerConfig())
     if args.no_conv:
         enh_cfg = dataclasses.replace(enh_cfg, conv_enabled=False)
     params = _load_or_init_params(args.params, pillar_cfg, enh_cfg)
@@ -88,16 +95,8 @@ def _frame_path(base: Path, frame_id: str, multi: bool) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    scene_spec, perturb_spec = SceneSpec(), None
-    if args.spec is not None:
-        with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-        unknown = sorted(set(data) - {"scene", "perturb"})
-        if unknown:
-            raise ValueError(f"unknown spec sections: {', '.join(unknown)}")
-        scene_spec = _apply_section(scene_spec, data.get("scene", {}), "scene")
-        if "perturb" in data:
-            perturb_spec = _apply_section(PerturbSpec(), data["perturb"], "perturb")
+    spec = _load_sections(args.spec, "spec", {"scene": SceneSpec, "perturb": PerturbSpec})
+    scene_spec, perturb_spec = spec.get("scene", SceneSpec()), spec.get("perturb")
     rng = Rng(_resolve_seed(args.seed))
     clouds, frames = [], []
     for k in range(scene_spec.n_frames):

@@ -55,6 +55,16 @@ def _record_error(path, lineno: int, exc: Exception) -> ValueError:
     return ValueError(f"{path}:{lineno}: {what}")
 
 
+def read_json(path):
+    """The value of a whole-file JSON input (config, spec or parameters); a
+    syntax error names the file and its line as a bad JSONL record does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _record_error(path, exc.lineno, exc) from None
+
+
 def read_points_jsonl(path) -> list[PointCloud]:
     """Group records into clouds, frames in first-appearance order."""
     rows: dict[str, list[tuple]] = {}

@@ -265,12 +265,19 @@ def tp_errors(pairs: list[tuple[Box3D, Box3D]], class_name: str) -> dict:
 
 
 def nds(mean_ap: float, tp_values) -> float:
-    """NDS = 0.5 * mAP + 0.1 * sum over five TP errors of (1 - min(1, err))."""
+    """NDS = 0.5 * mAP + 0.1 * sum over five TP errors of (1 - min(1, err)).
+
+    Each TP error, in ``TP_METRICS`` order, is a finite number >= 0.
+    """
     tp_values = list(tp_values)
     if len(tp_values) != len(TP_METRICS):
         raise ValueError(f"expected {len(TP_METRICS)} TP errors, got {len(tp_values)}")
     if not 0.0 <= mean_ap <= 1.0:
         raise ValueError("mAP must be in [0, 1]")
+    errors = dict(zip(TP_METRICS, tp_values))
+    check_number_fields(errors)
+    for name, value in errors.items():
+        require(value >= 0.0, name, ">= 0", value)
     return 0.5 * mean_ap + 0.1 * sum(1.0 - min(1.0, v) for v in tp_values)
 
 

@@ -14,6 +14,7 @@ pillar features (automotive radar gives no reliable elevation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +43,11 @@ X, Y, Z, VX, VY, RCS, SWEEP_OFFSET, SWEEP_INDEX = range(8)
 
 # the per-point feature width that ``pillarize`` builds
 RAW_CHANNELS = 10
+
+# the most H * W cells a grid may have: 2048 x 2048. At the default 32
+# channels the backbone's dense float64 output is then 768 MiB
+# ([H/2, W/2, 3C]), or 1 GiB ([H, W, C]) with the conv stage off.
+MAX_GRID_CELLS = 2048 * 2048
 
 
 @dataclass(eq=False)
@@ -85,13 +91,20 @@ class PillarConfig:
         check_numbers(self, ("max_points_per_pillar", "out_channels"),
                       integers=("max_points_per_pillar", "out_channels"),
                       at_least={"max_points_per_pillar": 1, "out_channels": 1})
-        require(self.x_max > self.x_min, "x_max", f"> x_min {self.x_min:g}", self.x_max)
-        require(self.y_max > self.y_min, "y_max", f"> y_min {self.y_min:g}", self.y_max)
+        axes = (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max))
+        for axis, low, high in axes:
+            require(high > low, f"{axis}_max", f"> {axis}_min {low:g}", high)
+            require(math.isfinite(high - low), f"{axis}_max",
+                    f"a finite distance from {axis}_min {low:g}", high)
         require(self.pillar_size > 0, "pillar_size", "> 0", self.pillar_size)
-        for span, name in ((self.x_max - self.x_min, "x"), (self.y_max - self.y_min, "y")):
-            cells = span / self.pillar_size
-            if abs(cells - round(cells)) > 1e-9:
-                raise ValueError(f"{name} range is not an integer number of pillars")
+        cells = [(high - low) / self.pillar_size for _, low, high in axes]
+        require(cells[0] * cells[1] <= MAX_GRID_CELLS, "pillar_size",
+                f"large enough for at most {MAX_GRID_CELLS} grid cells", self.pillar_size)
+        for (axis, low, high), count in zip(axes, cells):
+            if abs(count - round(count)) > 1e-9:
+                raise ValueError(f"{axis} range is not an integer number of pillars")
+            require(round(count) >= 1, f"{axis}_max",
+                    f"at least one pillar above {axis}_min {low:g}", high)
 
     @property
     def width(self) -> int:

@@ -8,6 +8,7 @@ reaction time. Their sum motivates splitting detection metrics at the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .tensor import check_number_fields
@@ -30,6 +31,19 @@ class SafetyInput:
             raise ValueError("friction coefficient and gravity must be positive")
         if self.t_r < 0:
             raise ValueError("reaction time must be nonnegative")
+        try:
+            finite = math.isfinite(total_stopping_distance(self))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            # name the field whose factor pushes the distance past the float
+            # range: the largest log term of v0^2 / (2 mu g) + v0 t_r
+            logs = {"v0": 2.0 * math.log(self.v0 or 1.0), "mu": -math.log(self.mu),
+                    "g": -math.log(self.g), "t_r": math.log(self.t_r or 1.0)}
+            name = max(logs, key=logs.get)
+            size = "large" if name in ("mu", "g") else "small"
+            raise ValueError(f"field {name!r} must be {size} enough for a finite stopping "
+                             f"distance, got {getattr(self, name)!r}")
 
 
 def braking_distance(inp: SafetyInput) -> float:

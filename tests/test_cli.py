@@ -46,6 +46,18 @@ def small_config(tmp_path):
     return path
 
 
+def loader_rejections(kind, first, second):
+    """A ``--config`` or ``--spec`` text that the section loader rejects, and
+    its error; PATH stands for the file's path."""
+    return [
+        ("[1, 2]", f"PATH: must be a JSON object of {kind} sections, got list"),
+        (f'{{"{first}": 5}}', f"PATH: section '{first}' must be a JSON object, got 5"),
+        (f'{{"{second}": null}}', f"PATH: section '{second}' must be a JSON object, got null"),
+        (f'{{"{first}": {{}},\n "{second}": }}', "PATH:2: invalid JSON (Expecting value)"),
+        (f'{{"{first}": {{}}, "extra": {{}}}}', f"unknown {kind} sections: extra"),
+    ]
+
+
 class TestGen:
     def test_writes_both_files_and_counts(self, tmp_path, capsys):
         points = tmp_path / "p.jsonl"
@@ -76,6 +88,17 @@ class TestGen:
                             "--out-points", str(points), "--out-boxes", str(boxes)], capsys)
         assert code == 1
         assert err.startswith(f"error: field '{name}' must be ")
+        assert not points.exists() and not boxes.exists()
+
+    @pytest.mark.parametrize("text, message", loader_rejections("spec", "scene", "perturb"))
+    def test_malformed_spec_file_rejected(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        points, boxes = tmp_path / "p.jsonl", tmp_path / "b.jsonl"
+        code, out, err = run(["gen", "--spec", str(spec_path), "--seed", "1",
+                              "--out-points", str(points), "--out-boxes", str(boxes)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message.replace('PATH', str(spec_path))}\n"
         assert not points.exists() and not boxes.exists()
 
     def test_identical_invocations_byte_identical(self, tmp_path, capsys):
@@ -200,6 +223,53 @@ class TestBackbone:
         assert err.startswith(f"error: field '{name}' ") and err.count("\n") == 1
         assert not list(tmp_path.glob("o*.panf"))
 
+    @pytest.mark.parametrize("command", ["backbone", "bench"])
+    @pytest.mark.parametrize("text, message", loader_rejections("config", "pillar", "enhancer"))
+    def test_malformed_config_file_rejected(self, tmp_path, capsys, scene_files,
+                                            command, text, message):
+        points, _ = scene_files
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        flags = ["--out", str(tmp_path / "o.panf")] if command == "backbone" else []
+        code, out, err = run([command, "--points", str(points), "--config", str(bad), *flags],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message.replace('PATH', str(bad))}\n"
+        assert not list(tmp_path.glob("o*.panf"))
+
+    @pytest.mark.parametrize("pillar, name", [
+        ({"x_min": -1e308, "x_max": 1e308}, "x_max"),
+        ({"y_min": -1e308, "y_max": 1e308}, "y_max"),
+        ({"x_min": -1e6, "x_max": 1e6, "y_min": -1e6, "y_max": 1e6, "pillar_size": 0.5},
+         "pillar_size"),
+        ({"y_min": 0.0, "y_max": 1e-12, "pillar_size": 1.0, "x_min": 0.0, "x_max": 4.0},
+         "y_max"),
+    ])
+    def test_grid_cell_count_out_of_bounds_names_field(self, tmp_path, capsys, scene_files,
+                                                       pillar, name):
+        points, _ = scene_files
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pillar": pillar}))
+        code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
+                              "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: field '{name}' ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("o*.panf"))
+
+    def test_params_file_syntax_error_names_line(self, tmp_path, capsys, scene_files):
+        points, _ = scene_files
+        capsys.readouterr()
+        params_path = tmp_path / "params.json"
+        params_path.write_text('[{"name": "pfn.lin.weight",\n  "shape": [10, 4],,\n}]\n')
+        code, out, err = run(["backbone", "--points", str(points), "--params", str(params_path),
+                              "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: {params_path}:2: invalid JSON "
+                       "(Expecting property name enclosed in double quotes)\n")
+        assert not list(tmp_path.glob("o*.panf"))
+
     @pytest.mark.parametrize("edit, where, message", [
         (lambda recs: recs[0]["values"].__setitem__(0, "1"), "parameter 'pfn.lin.weight'",
          'field \'values[0]\' must be a number, got "1"'),
@@ -289,6 +359,20 @@ class TestNds:
         assert code == 0
         assert out.strip() == "1.0000"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ate", "-5", "field 'ate' must be >= 0, got -5.0"),
+        ("--ate", "nan", "field 'ate' is not finite"),
+        ("--ate", "inf", "field 'ate' is not finite"),
+        ("--aae", "-inf", "field 'aae' is not finite"),
+    ])
+    def test_impossible_tp_error_names_field(self, capsys, flag, value, message):
+        errors = {name: "0" for name in ("--ate", "--ase", "--aoe", "--ave", "--aae")}
+        errors[flag] = value
+        code, out, err = run(["nds", "--map", "0.5", *[f"{k}={v}" for k, v in errors.items()]],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestBench:
     def test_reports_work_counts(self, tmp_path, capsys, scene_files):
@@ -333,6 +417,19 @@ class TestSafety:
         code, out, err = run(["safety", *flags], capsys)
         assert code == 1 and out == ""
         assert err == f"error: field '{name}' is not finite\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--speed-kmh", "1e200"], "field 'v0' must be small enough for a finite stopping "
+                                   "distance, got 2.777777777777778e+199"),
+        (["--speed-kmh", "50", "--mu", "1e-320"], "field 'mu' must be large enough for a "
+                                                  "finite stopping distance, got 1e-320"),
+        (["--speed-kmh", "50", "--tr", "1e308"], "field 't_r' must be small enough for a "
+                                                 "finite stopping distance, got 1e+308"),
+    ])
+    def test_out_of_range_distance_names_field(self, capsys, flags, message):
+        code, out, err = run(["safety", *flags], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestEvalGolden:

@@ -302,6 +302,20 @@ class TestNds:
         with pytest.raises(ValueError):
             nds(0.5, [0.0] * 4)
 
+    @pytest.mark.parametrize("tp, message", [
+        ([-5.0, 0.0, 0.0, 0.0, 0.0], "field 'ate' must be >= 0, got -5.0"),
+        ([0.0, 0.0, -1e-9, 0.0, 0.0], "field 'aoe' must be >= 0, got -1e-09"),
+        ([math.nan, 0.0, 0.0, 0.0, 0.0], "field 'ate' is not finite"),
+        ([0.0, math.inf, 0.0, 0.0, 0.0], "field 'ase' is not finite"),
+        ([0.0, 0.0, 0.0, 0.0, -math.inf], "field 'aae' is not finite"),
+        ([0.0, 0.0, 0.0, None, 0.0], "field 'ave' must be a number, got null"),
+    ])
+    def test_impossible_tp_error_rejected_by_field(self, tp, message):
+        # a negative error lifts NDS above 1, and min(1, nan) is 1
+        with pytest.raises(ValueError) as info:
+            nds(0.5, tp)
+        assert str(info.value) == message
+
     @given(st.floats(0, 1), st.floats(0, 1),
            st.lists(st.floats(0, 2), min_size=5, max_size=5), st.integers(0, 4),
            st.floats(0, 2))

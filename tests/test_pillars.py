@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pan.layers import BatchNormStats, LinearParams
 from pan.pillars import (
+    MAX_GRID_CELLS,
     PfnParams,
     PillarConfig,
     PillarGrid,
@@ -296,3 +297,31 @@ class TestPillarConfig:
         with pytest.raises(ValueError) as info:
             PillarConfig(**fields)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"x_min": -1e308, "x_max": 1e308},
+         "field 'x_max' must be a finite distance from x_min -1e+308, got 1e+308"),
+        ({"y_min": -1e308, "y_max": 1e308},
+         "field 'y_max' must be a finite distance from y_min -1e+308, got 1e+308"),
+        ({"x_min": -1e6, "x_max": 1e6, "y_min": -1e6, "y_max": 1e6, "pillar_size": 0.5},
+         f"field 'pillar_size' must be large enough for at most {MAX_GRID_CELLS} grid cells, "
+         "got 0.5"),
+        ({"pillar_size": 1e-310},
+         f"field 'pillar_size' must be large enough for at most {MAX_GRID_CELLS} grid cells, "
+         "got 1e-310"),
+        ({"x_min": 0.0, "x_max": 1e-12, "pillar_size": 1.0},
+         "field 'x_max' must be at least one pillar above x_min 0, got 1e-12"),
+    ])
+    def test_grid_cell_count_out_of_bounds_rejected_by_field(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            PillarConfig(**fields)
+        assert str(info.value) == message
+
+    def test_cell_bound_is_inclusive(self):
+        side = math.isqrt(MAX_GRID_CELLS)
+        cfg = PillarConfig(x_min=0.0, x_max=float(side), y_min=0.0, y_max=float(side),
+                           pillar_size=1.0)
+        assert cfg.height * cfg.width == MAX_GRID_CELLS
+        with pytest.raises(ValueError, match="pillar_size"):
+            PillarConfig(x_min=0.0, x_max=float(side + 1), y_min=0.0, y_max=float(side),
+                         pillar_size=1.0)

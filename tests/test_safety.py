@@ -1,5 +1,7 @@
 """Stopping-distance calculator tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,30 @@ class TestBrakingDistance:
         with pytest.raises(ValueError) as info:
             SafetyInput(**fields)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"v0": 1e200}, "field 'v0' must be small enough for a finite stopping distance, "
+                        "got 1e+200"),
+        ({"v0": 13.9, "mu": 1e-320}, "field 'mu' must be large enough for a finite stopping "
+                                     "distance, got 1e-320"),
+        ({"v0": 13.9, "g": 1e-310}, "field 'g' must be large enough for a finite stopping "
+                                    "distance, got 1e-310"),
+        ({"v0": 0.0, "mu": 1e-300, "g": 1e-300}, "field 'mu' must be large enough for a finite "
+                                                 "stopping distance, got 1e-300"),
+        ({"v0": 13.9, "t_r": 1e308}, "field 't_r' must be small enough for a finite stopping "
+                                     "distance, got 1e+308"),
+        ({"v0": 1e100, "t_r": 1e250}, "field 't_r' must be small enough for a finite stopping "
+                                      "distance, got 1e+250"),
+    ])
+    def test_distance_out_of_float_range_rejected_by_field(self, fields, message):
+        # v0 ** 2 overflows, the deceleration 2 mu g vanishes, or a sum reaches inf
+        with pytest.raises(ValueError) as info:
+            SafetyInput(**fields)
+        assert str(info.value) == message
+
+    def test_largest_finite_distances_accepted(self):
+        inp = SafetyInput(v0=1e150, mu=1e-5, t_r=1e150)
+        assert math.isfinite(total_stopping_distance(inp))
 
 
 class TestReactionDistance:
