@@ -53,20 +53,19 @@ class EnhancerConfig:
     dropout_p: float = 0.1
     conv_enabled: bool = True
     conv_kernel: int = 3
-    use_attn_out: bool = True
+    use_attn_out = True  # a constant, read by perfbench: attention always ends in attn_out
 
     def __post_init__(self):
         # even kernels are rejected by conv_refine, which needs odd ones
         check_numbers(self, ("embed_dim", "num_heads", "conv_kernel"),
                       integers=("embed_dim", "num_heads", "conv_kernel"),
                       at_least={"embed_dim": 1, "num_heads": 1, "conv_kernel": 1})
-        if self.embed_dim % self.num_heads != 0:
-            raise ValueError("embed_dim must be divisible by num_heads")
+        require(self.embed_dim % self.num_heads == 0, "embed_dim",
+                f"divisible by num_heads {self.num_heads}", self.embed_dim)
         check_number_fields({"dropout_p": self.dropout_p})
         require(0 <= self.dropout_p < 1, "dropout_p", "in [0, 1)", self.dropout_p)
-        for name in ("conv_enabled", "use_attn_out"):
-            require(isinstance(getattr(self, name), bool), name, "true or false",
-                    getattr(self, name))
+        require(isinstance(self.conv_enabled, bool), "conv_enabled", "true or false",
+                self.conv_enabled)
 
     @property
     def head_dim(self) -> int:
@@ -201,9 +200,7 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     out = np.empty(x.shape)
     for sl, blk, e, sums in _attention_weights(q, k, cfg, rng, training):
         np.divide(e @ v[:, sl], sums, out=out[blk, sl])
-    if cfg.use_attn_out:
-        out = linear(out, params.attn_out)
-    return out
+    return linear(out, params.attn_out)
 
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
@@ -213,7 +210,7 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     k = linear(x, params.k)
     v = linear(x, params.v)
     scale = math.sqrt(cfg.head_dim)
-    d_out = linear_backward(dy, params.attn_out) if cfg.use_attn_out else dy
+    d_out = linear_backward(dy, params.attn_out)
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
@@ -416,9 +413,7 @@ class WorkReport:
 def _token_macs(p: int, channels: int, cfg: EnhancerConfig) -> int:
     f = cfg.embed_dim
     macs = 2 * p * channels * f          # encoder + decoder
-    macs += 3 * p * f * f                # q, k, v projections
-    if cfg.use_attn_out:
-        macs += p * f * f
+    macs += 4 * p * f * f                # q, k, v and output projections
     macs += 2 * p * p * f                # scores and weighted values
     macs += 2 * p * f * f                # two MLP layers
     return macs

@@ -33,7 +33,10 @@ def _resolve_seed(value) -> int:
     env = os.environ.get("PAN_SEED")
     if env is None:
         raise ValueError("no --seed given and PAN_SEED is not set")
-    return int(env)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PAN_SEED must be an integer, got {env!r}") from None
 
 
 def _apply_section(cls, data, section: str, path):
@@ -43,7 +46,10 @@ def _apply_section(cls, data, section: str, path):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: section {section!r}: {exc}") from None
 
 
 def _load_sections(path, kind: str, sections: dict) -> dict:

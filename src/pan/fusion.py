@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearParams, init_linear, linear, softmax_rows
-from .tensor import DTYPE, check_finite
+from .tensor import DTYPE, check_finite, check_number_fields, require
 
 
 @dataclass(eq=False)
@@ -30,8 +30,8 @@ class BevFeatureMap:
         self.data = np.asarray(self.data, dtype=DTYPE)
         if self.data.ndim != 3:
             raise ValueError("BEV feature map must be [H, W, C]")
-        if self.meters_per_cell <= 0:
-            raise ValueError("meters_per_cell must be positive")
+        check_number_fields({"meters_per_cell": self.meters_per_cell})
+        require(self.meters_per_cell > 0, "meters_per_cell", "> 0", self.meters_per_cell)
 
     @property
     def height(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import CONDITIONS, Box3D, FrameAnnotations
 from .pillars import PointCloud
-from .tensor import DTYPE, check_number_fields, finite_numbers
+from .tensor import DTYPE, check_number_fields, field_error, finite_numbers
 
 PANF_MAGIC = b"PANF"
 
@@ -48,11 +48,17 @@ def _record_error(path, lineno: int, exc: Exception) -> ValueError:
         what = f"invalid JSON ({exc.msg})"
     elif isinstance(exc, KeyError):
         what = f"missing field {exc.args[0]!r}"
-    elif isinstance(exc, TypeError):
-        what = f"malformed record ({exc})"
     else:
         what = str(exc)
     return ValueError(f"{path}:{lineno}: {what}")
+
+
+def _json_object(line: str) -> dict:
+    """A JSONL line's record, which must be a JSON object."""
+    rec = json.loads(line)
+    if type(rec) is not dict:
+        raise ValueError(f"record must be a JSON object, got {json.dumps(rec)}")
+    return rec
 
 
 def read_json(path):
@@ -74,15 +80,15 @@ def read_points_jsonl(path) -> list[PointCloud]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _json_object(line)
                 row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
                        rec["dt"], rec["sweep"])
                 if type(row[-1]) is not int or not finite_numbers(row):
                     check_number_fields(dict(zip(_POINT_NUMBERS, row)), integers=("sweep",))
                 frame = rec["frame"]
                 if type(frame) is not str:
-                    raise ValueError(f"field 'frame' must be a string, got {json.dumps(frame)}")
-            except (ValueError, KeyError, TypeError) as exc:
+                    raise field_error("frame", "a string", frame)
+            except (ValueError, KeyError) as exc:
                 raise _record_error(path, lineno, exc) from None
             rows.setdefault(frame, []).append(row)
     return [PointCloud(frame, frame_rows) for frame, frame_rows in rows.items()]
@@ -136,10 +142,10 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _json_object(line)
                 role, frame_id, condition = rec["role"], rec["frame"], rec["condition"]
                 if role not in ("gt", "pred"):
-                    raise ValueError(f"field 'role' must be 'gt' or 'pred', got {role!r}")
+                    raise field_error("role", "'gt' or 'pred'", role)
                 if ("score" in rec) != (role == "pred"):
                     problem = "is only for" if role == "gt" else "is required for"
                     raise ValueError(f"field 'score' {problem} role 'pred'")
@@ -148,22 +154,22 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
                 if not finite_numbers(numbers):
                     check_number_fields(dict(zip(_BOX_NUMBERS, numbers)))
                 if type(frame_id) is not str:
-                    raise ValueError(f"field 'frame' must be a string, got {json.dumps(frame_id)}")
+                    raise field_error("frame", "a string", frame_id)
                 frame = frames.get(frame_id)
                 if frame is None:
                     if condition not in CONDITIONS:
-                        raise ValueError(f"field 'condition' must be one of "
-                                         f"{', '.join(CONDITIONS)}, got {json.dumps(condition)}")
+                        raise field_error("condition", f"one of {', '.join(CONDITIONS)}",
+                                          condition)
                     frame = frames[frame_id] = FrameAnnotations(frame_id, condition)
                 elif condition != frame.condition:
                     raise ValueError(f"field 'condition' is {json.dumps(condition)}, but earlier "
                                      f"records of frame {frame_id!r} say {frame.condition!r}")
                 attr = rec["attr"]
                 if attr is not None and type(attr) is not str:
-                    raise ValueError(f"field 'attr' must be a string or null, got {json.dumps(attr)}")
+                    raise field_error("attr", "a string or null", attr)
                 box = Box3D(*numbers[:9], class_name=rec["class"], attribute=attr,
                             score=rec.get("score"))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise _record_error(path, lineno, exc) from None
             (frame.pred if role == "pred" else frame.gt).append(box)
     return list(frames.values())

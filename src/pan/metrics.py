@@ -14,13 +14,12 @@ origin, so adjacent bands partition exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import check_number_fields, finite_sum, require
+from .tensor import check_number_fields, field_error, finite_sum, require
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -76,12 +75,13 @@ class Box3D:
             check_number_fields({name: getattr(self, name) for name in _BOX_FLOATS})
         if min(self.w, self.l, self.h) <= 0:
             name = next(n for n in ("w", "l", "h") if getattr(self, n) <= 0)
-            raise ValueError(f"field {name!r} must be positive, got {getattr(self, name)}")
+            raise field_error(name, "positive", getattr(self, name))
         if self.class_name not in CLASS_NAMES:
-            raise ValueError(f"field 'class' must be one of {', '.join(CLASS_NAMES)}, "
-                             f"got {json.dumps(self.class_name, default=repr)}")
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"field 'score' must be in [0, 1], got {self.score}")
+            raise field_error("class", f"one of {', '.join(CLASS_NAMES)}", self.class_name)
+        score = self.score
+        if score is not None and not (type(score) is float and 0.0 <= score <= 1.0):
+            check_number_fields({"score": score})
+            require(0.0 <= score <= 1.0, "score", "in [0, 1]", score)
         self.yaw = _normalize_yaw(self.yaw)
 
     def bev_distance_to(self, other: "Box3D") -> float:
@@ -108,12 +108,22 @@ class EvalConfig:
     tp_threshold_m: float = 2.0
 
     def __post_init__(self):
-        thr = list(self.match_thresholds_m)
-        if not thr or not all(a < b for a, b in zip([0.0] + thr, thr)):
-            raise ValueError(f"match_thresholds_m must be positive and strictly ascending: {thr}")
-        if not self.tp_threshold_m > 0:
-            raise ValueError(f"tp_threshold_m must be positive: {self.tp_threshold_m}")
-        check_number_fields({"min_recall": self.min_recall, "min_precision": self.min_precision})
+        thr, band = self.match_thresholds_m, self.range_filter
+        require(isinstance(thr, (list, tuple)) and len(thr) > 0, "match_thresholds_m",
+                "a non-empty list", thr)
+        require(isinstance(band, (list, tuple)) and len(band) == 2, "range_filter",
+                "two numbers lo < hi", band)
+        check_number_fields({
+            **{f"match_thresholds_m[{i}]": t for i, t in enumerate(thr)},
+            # the band's upper end may be infinite, as in ``pan eval --range 0:inf``
+            "range_filter[0]": band[0], "range_filter[1]": 0.0 if band[1] == math.inf else band[1],
+            "tp_threshold_m": self.tp_threshold_m,
+            "min_recall": self.min_recall, "min_precision": self.min_precision,
+        })
+        require(all(a < b for a, b in zip((0.0, *thr), thr)), "match_thresholds_m",
+                "positive and strictly ascending", thr)
+        require(band[0] < band[1], "range_filter", "two numbers lo < hi", band)
+        require(self.tp_threshold_m > 0, "tp_threshold_m", "> 0", self.tp_threshold_m)
         # from 0.995 up no point of the 101-point recall grid lies past min_recall
         require(0 <= self.min_recall < 0.995, "min_recall", "in [0, 0.995)", self.min_recall)
         require(0 <= self.min_precision < 1, "min_precision", "in [0, 1)", self.min_precision)
@@ -267,15 +277,15 @@ def tp_errors(pairs: list[tuple[Box3D, Box3D]], class_name: str) -> dict:
 def nds(mean_ap: float, tp_values) -> float:
     """NDS = 0.5 * mAP + 0.1 * sum over five TP errors of (1 - min(1, err)).
 
-    Each TP error, in ``TP_METRICS`` order, is a finite number >= 0.
+    ``mean_ap`` is a finite number in [0, 1] and each TP error, in
+    ``TP_METRICS`` order, a finite number >= 0.
     """
     tp_values = list(tp_values)
     if len(tp_values) != len(TP_METRICS):
         raise ValueError(f"expected {len(TP_METRICS)} TP errors, got {len(tp_values)}")
-    if not 0.0 <= mean_ap <= 1.0:
-        raise ValueError("mAP must be in [0, 1]")
     errors = dict(zip(TP_METRICS, tp_values))
-    check_number_fields(errors)
+    check_number_fields({"mAP": mean_ap, **errors})
+    require(0.0 <= mean_ap <= 1.0, "mAP", "in [0, 1]", mean_ap)
     for name, value in errors.items():
         require(value >= 0.0, name, ">= 0", value)
     return 0.5 * mean_ap + 0.1 * sum(1.0 - min(1.0, v) for v in tp_values)

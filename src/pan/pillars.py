@@ -101,8 +101,9 @@ class PillarConfig:
         require(cells[0] * cells[1] <= MAX_GRID_CELLS, "pillar_size",
                 f"large enough for at most {MAX_GRID_CELLS} grid cells", self.pillar_size)
         for (axis, low, high), count in zip(axes, cells):
-            if abs(count - round(count)) > 1e-9:
-                raise ValueError(f"{axis} range is not an integer number of pillars")
+            require(abs(count - round(count)) <= 1e-9, f"{axis}_max",
+                    f"a whole number of {self.pillar_size:g} m pillars above {axis}_min {low:g}",
+                    high)
             require(round(count) >= 1, f"{axis}_max",
                     f"at least one pillar above {axis}_min {low:g}", high)
 

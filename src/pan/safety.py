@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tensor import check_number_fields
+from .tensor import check_number_fields, field_error, require
 
 KMH_TO_MS = 1000.0 / 3600.0
 
@@ -25,12 +25,10 @@ class SafetyInput:
 
     def __post_init__(self):
         check_number_fields({"v0": self.v0, "mu": self.mu, "g": self.g, "t_r": self.t_r})
-        if self.v0 < 0:
-            raise ValueError("speed must be nonnegative")
-        if self.mu <= 0 or self.g <= 0:
-            raise ValueError("friction coefficient and gravity must be positive")
-        if self.t_r < 0:
-            raise ValueError("reaction time must be nonnegative")
+        require(self.v0 >= 0, "v0", ">= 0", self.v0)
+        require(self.mu > 0, "mu", "> 0", self.mu)
+        require(self.g > 0, "g", "> 0", self.g)
+        require(self.t_r >= 0, "t_r", ">= 0", self.t_r)
         try:
             finite = math.isfinite(total_stopping_distance(self))
         except (OverflowError, ZeroDivisionError):
@@ -42,8 +40,8 @@ class SafetyInput:
                     "g": -math.log(self.g), "t_r": math.log(self.t_r or 1.0)}
             name = max(logs, key=logs.get)
             size = "large" if name in ("mu", "g") else "small"
-            raise ValueError(f"field {name!r} must be {size} enough for a finite stopping "
-                             f"distance, got {getattr(self, name)!r}")
+            raise field_error(name, f"{size} enough for a finite stopping distance",
+                              getattr(self, name))
 
 
 def braking_distance(inp: SafetyInput) -> float:

@@ -38,6 +38,12 @@ def finite_numbers(values) -> bool:
     return bool not in map(type, values) and finite_sum(values)
 
 
+def field_error(name: str, rule: str, value) -> ValueError:
+    """The one bad-value error: ``field 'name' must be RULE, got VALUE``, the
+    value as JSON (``repr`` for what JSON cannot write)."""
+    return ValueError(f"field {name!r} must be {rule}, got {json.dumps(value, default=repr)}")
+
+
 def check_number_fields(fields: dict, integers: tuple = ()) -> None:
     """Raise ValueError naming the first field that is not a finite number,
     or not an integer for the names in ``integers``.
@@ -50,14 +56,13 @@ def check_number_fields(fields: dict, integers: tuple = ()) -> None:
         if is_number and not finite_sum((value,)):
             raise ValueError(f"field {name!r} is not finite")
         if not is_number or (name in integers and not isinstance(value, numbers.Integral)):
-            kind = "an integer" if name in integers else "a number"
-            raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
+            raise field_error(name, "an integer" if name in integers else "a number", value)
 
 
 def require(ok: bool, name: str, rule: str, value) -> None:
-    """Raise ValueError naming the field ``name`` unless ``ok``."""
+    """Raise ``field_error`` unless ``ok``."""
     if not ok:
-        raise ValueError(f"field {name!r} must be {rule}, got {json.dumps(value, default=repr)}")
+        raise field_error(name, rule, value)
 
 
 def check_numbers(obj, names: tuple, integers: tuple = (),

@@ -787,7 +787,6 @@ class TestConfigValidation:
         ({"dropout_p": 1.0}, "field 'dropout_p' must be in [0, 1), got 1.0"),
         ({"dropout_p": -0.1}, "field 'dropout_p' must be in [0, 1), got -0.1"),
         ({"conv_enabled": 1}, "field 'conv_enabled' must be true or false, got 1"),
-        ({"use_attn_out": "false"}, 'field \'use_attn_out\' must be true or false, got "false"'),
     ])
     def test_degenerate_enhancer_rejected_by_field(self, fields, message):
         with pytest.raises(ValueError) as info:

@@ -79,6 +79,14 @@ class TestGen:
         assert code == 1
         assert "PAN_SEED" in err
 
+    def test_seed_from_environment_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PAN_SEED", "abc")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        code, out, err = run(["gen", "--out-points", str(a), "--out-boxes", str(b)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: PAN_SEED must be an integer, got 'abc'\n"
+        assert not a.exists() and not b.exists()
+
     @pytest.mark.parametrize("section, fields, name", BAD_SPECS)
     def test_bad_spec_value_names_field(self, tmp_path, capsys, section, fields, name):
         spec_path = tmp_path / "spec.json"
@@ -87,7 +95,7 @@ class TestGen:
         code, _, err = run(["gen", "--spec", str(spec_path), "--seed", "1",
                             "--out-points", str(points), "--out-boxes", str(boxes)], capsys)
         assert code == 1
-        assert err.startswith(f"error: field '{name}' must be ")
+        assert err.startswith(f"error: {spec_path}: section '{section}': field '{name}' must be ")
         assert not points.exists() and not boxes.exists()
 
     @pytest.mark.parametrize("text, message", loader_rejections("spec", "scene", "perturb"))
@@ -188,6 +196,7 @@ class TestBackbone:
 
     @pytest.mark.parametrize("section, key, value", [
         ("pillar", "raw_channels", 7), ("enhancer", "dropout_after_softmax", True),
+        ("enhancer", "use_attn_out", True),
     ])
     def test_removed_config_keys_fail(self, tmp_path, capsys, scene_files, section, key, value):
         points, _ = scene_files
@@ -209,7 +218,6 @@ class TestBackbone:
         ("enhancer", {"num_heads": True}, "num_heads"),
         ("enhancer", {"conv_kernel": 3.0}, "conv_kernel"),
         ("enhancer", {"conv_enabled": "yes"}, "conv_enabled"),
-        ("enhancer", {"use_attn_out": 1}, "use_attn_out"),
         ("pillar", {"x_max": -60.0}, "x_max"),
     ])
     def test_degenerate_config_names_field(self, tmp_path, capsys, scene_files,
@@ -220,7 +228,8 @@ class TestBackbone:
         code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
                               "--out", str(tmp_path / "o.panf")], capsys)
         assert code == 1 and "wrote" not in out
-        assert err.startswith(f"error: field '{name}' ") and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: section '{section}': field '{name}' ")
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob("o*.panf"))
 
     @pytest.mark.parametrize("command", ["backbone", "bench"])
@@ -255,7 +264,8 @@ class TestBackbone:
         code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
                               "--out", str(tmp_path / "o.panf")], capsys)
         assert code == 1 and out == ""
-        assert err.startswith(f"error: field '{name}' ") and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: section 'pillar': field '{name}' ")
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob("o*.panf"))
 
     def test_params_file_syntax_error_names_line(self, tmp_path, capsys, scene_files):

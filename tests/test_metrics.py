@@ -104,6 +104,21 @@ class TestMatchFrame:
         with pytest.raises(ValueError):
             car(0, 0, score=1.5)
 
+    @pytest.mark.parametrize("score, message", [
+        ("0.5", 'field \'score\' must be a number, got "0.5"'),
+        (True, "field 'score' must be a number, got true"),
+        (math.nan, "field 'score' is not finite"),
+        (1.5, "field 'score' must be in [0, 1], got 1.5"),
+    ])
+    def test_bad_score_rejected_by_field(self, score, message):
+        with pytest.raises(ValueError) as info:
+            car(0, 0, score=score)
+        assert str(info.value) == message
+
+    def test_numpy_and_integer_scores_accepted(self):
+        assert car(0, 0, score=np.float64(0.25)).score == 0.25
+        assert car(0, 0, score=1).score == 1
+
     @pytest.mark.parametrize("field", ["x", "y", "z", "w", "l", "h", "yaw", "vx", "vy"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected_by_name(self, field, value):

@@ -36,8 +36,8 @@ class TestBrakingDistance:
         ({"v0": 10.0, "mu": float("inf")}, "field 'mu' is not finite"),
         ({"v0": 10.0, "g": None}, "field 'g' must be a number, got null"),
         ({"v0": 10.0, "t_r": float("nan")}, "field 't_r' is not finite"),
-        ({"v0": -1.0}, "speed must be nonnegative"),
-        ({"v0": 10.0, "t_r": -0.5}, "reaction time must be nonnegative"),
+        ({"v0": -1.0}, "field 'v0' must be >= 0, got -1.0"),
+        ({"v0": 10.0, "t_r": -0.5}, "field 't_r' must be >= 0, got -0.5"),
     ])
     def test_rejects_bad_fields(self, fields, message):
         with pytest.raises(ValueError) as info:

@@ -290,6 +290,15 @@ class TestJsonl:
         with pytest.raises(ValueError, match=r"boxes\.jsonl:2: missing field 'cx'"):
             read_boxes_jsonl(path)
 
+    @pytest.mark.parametrize("reader", [read_points_jsonl, read_boxes_jsonl])
+    @pytest.mark.parametrize("token", ["[1, 2]", "5", "null", '"x"'])
+    def test_record_not_an_object_rejected(self, tmp_path, reader, token):
+        path = tmp_path / "records.jsonl"
+        path.write_text(token + "\n")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:1: record must be a JSON object, got {token}"
+
     def test_boxes_invalid_json_names_line(self, tmp_path):
         path, lines = self._boxes_file(tmp_path)
         lines.insert(1, "")  # blank lines are skipped but still counted

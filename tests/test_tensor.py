@@ -1,5 +1,8 @@
-"""The seeded generator and the identity equality of array-holding dataclasses."""
+"""The seeded generator, the identity equality of array-holding dataclasses,
+and the one bad-value rule that every number setting is checked by."""
 
+import dataclasses
+import math
 import subprocess
 import sys
 
@@ -9,7 +12,10 @@ import pytest
 from pan.backbone import EnhancerConfig, init_backbone
 from pan.fusion import BevFeatureMap, OccupancyMap, init_mcda
 from pan.layers import BatchNormStats, LinearParams
+from pan.metrics import EvalConfig, nds
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, TokenBatch
+from pan.safety import SafetyInput
+from pan.synth import PerturbSpec, SceneSpec
 from pan.tensor import Rng
 
 
@@ -63,3 +69,80 @@ def test_equality_is_identity(name):
     assert a == a
     assert a != b
     assert len({a, b}) == 2
+
+
+# valid values for the fields that have no default
+REQUIRED = {
+    SafetyInput: {"v0": 10.0},
+    BevFeatureMap: {"data": np.zeros((2, 2, 1)), "meters_per_cell": 1.0},
+}
+SETTINGS = (PillarConfig, EnhancerConfig, EvalConfig, SceneSpec, PerturbSpec, SafetyInput,
+            BevFeatureMap)
+BAD_NUMBERS = (math.nan, math.inf, "1", None, True)
+
+
+def _valid_fields(cls) -> dict:
+    fields = {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+              for f in dataclasses.fields(cls)}
+    return {**fields, **REQUIRED.get(cls, {})}
+
+
+def _bad_values(valid) -> tuple:
+    """The bad inputs for a number field whose valid value is ``valid``."""
+    if type(valid) is bool:
+        return (1, "true")
+    return BAD_NUMBERS + ((2.5,) if type(valid) is int else ())
+
+
+def _bad_settings():
+    """(class, field, bad value) for every number field of every setting; a
+    tuple or dict field gets one bad element at a time."""
+    for cls in SETTINGS:
+        for name, valid in _valid_fields(cls).items():
+            if type(valid) in (bool, int, float):
+                for bad in _bad_values(valid):
+                    yield pytest.param(cls, name, bad, id=f"{cls.__name__}.{name}={bad!r}")
+            elif isinstance(valid, (tuple, dict)):
+                keys = range(len(valid)) if isinstance(valid, tuple) else list(valid)
+                for key in keys:
+                    for bad in _bad_values(valid[key]):
+                        if (cls, name, key, bad) == (EvalConfig, "range_filter", 1, math.inf):
+                            continue  # an open-ended band, as in ``pan eval --range 0:inf``
+                        value = (dict(valid, **{key: bad}) if isinstance(valid, dict)
+                                 else valid[:key] + (bad,) + valid[key + 1:])
+                        yield pytest.param(cls, name, value,
+                                           id=f"{cls.__name__}.{name}[{key}]={bad!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", _bad_settings())
+def test_bad_number_setting_names_its_field(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^field '{name}(\[\d+\])?' "):
+        cls(**{**_valid_fields(cls), name: value})
+
+
+def test_open_ended_range_filter_accepted():
+    assert EvalConfig(range_filter=(0.0, math.inf)).range_filter == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EnhancerConfig(embed_dim=8, num_heads=3),
+     "field 'embed_dim' must be divisible by num_heads 3, got 8"),
+    (lambda: PillarConfig(x_max=50.3),
+     "field 'x_max' must be a whole number of 0.78125 m pillars above x_min -50, got 50.3"),
+    (lambda: EvalConfig(match_thresholds_m=(0.5, 1.0, 2.0, math.inf)),
+     "field 'match_thresholds_m[3]' is not finite"),
+    (lambda: EvalConfig(match_thresholds_m=(1.0, 0.5)),
+     "field 'match_thresholds_m' must be positive and strictly ascending, got [1.0, 0.5]"),
+    (lambda: EvalConfig(range_filter=(50.0, 50.0)),
+     "field 'range_filter' must be two numbers lo < hi, got [50.0, 50.0]"),
+    (lambda: EvalConfig(tp_threshold_m=0.0), "field 'tp_threshold_m' must be > 0, got 0.0"),
+    (lambda: SafetyInput(v0=10.0, mu=0.0), "field 'mu' must be > 0, got 0.0"),
+    (lambda: BevFeatureMap(np.zeros((2, 2, 1)), 0.0),
+     "field 'meters_per_cell' must be > 0, got 0.0"),
+    (lambda: nds(1.5, [0.0] * 5), "field 'mAP' must be in [0, 1], got 1.5"),
+    (lambda: nds(math.nan, [0.0] * 5), "field 'mAP' is not finite"),
+])
+def test_setting_rule_reads_as_field_error(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
