@@ -24,7 +24,7 @@ from .metrics import CONDITIONS, EvalConfig, FrameAnnotations, evaluate, format_
 from .pillars import PillarConfig
 from .safety import KMH_TO_MS, SafetyInput, braking_distance, reaction_distance, total_stopping_distance
 from .synth import PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
-from .tensor import Rng
+from .tensor import Rng, check_number_fields, field_error, require
 
 
 def _resolve_seed(value) -> int:
@@ -195,7 +195,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_safety(args) -> int:
-    inp = SafetyInput(v0=args.speed_kmh * KMH_TO_MS, mu=args.mu, t_r=args.tr)
+    speed = args.speed_kmh
+    check_number_fields({"speed_kmh": speed})
+    require(speed >= 0, "speed_kmh", ">= 0", speed)
+    try:
+        inp = SafetyInput(v0=speed * KMH_TO_MS, mu=args.mu, t_r=args.tr)
+    except ValueError as exc:
+        # past the checks above SafetyInput rejects v0 only as too large: name the typed speed
+        if not str(exc).startswith("field 'v0'"):
+            raise
+        raise field_error("speed_kmh", "small enough for a finite stopping distance",
+                          speed) from None
     print(f"braking_distance_m={braking_distance(inp):.2f}")
     print(f"reaction_distance_m={reaction_distance(inp):.2f}")
     print(f"total_stopping_distance_m={total_stopping_distance(inp):.2f}")

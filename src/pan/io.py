@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .metrics import CONDITIONS, Box3D, FrameAnnotations
+from .metrics import Box3D, FrameAnnotations
 from .pillars import PointCloud
 from .tensor import DTYPE, check_number_fields, field_error, finite_numbers
 
@@ -31,7 +31,19 @@ PANF_MAGIC = b"PANF"
 _POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
 
 
+def _unique_frames(items) -> list:
+    """``items`` as a list, none sharing a ``frame_id``: a reader groups records
+    by frame, so a repeated id would merge two frames into one."""
+    items, seen = list(items), set()
+    for item in items:
+        if item.frame_id in seen:
+            raise field_error("frame", "unique", item.frame_id)
+        seen.add(item.frame_id)
+    return items
+
+
 def write_points_jsonl(path, clouds) -> None:
+    clouds = _unique_frames(clouds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cloud in clouds:
             for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
@@ -53,12 +65,21 @@ def _record_error(path, lineno: int, exc: Exception) -> ValueError:
     return ValueError(f"{path}:{lineno}: {what}")
 
 
-def _json_object(line: str) -> dict:
-    """A JSONL line's record, which must be a JSON object."""
-    rec = json.loads(line)
-    if type(rec) is not dict:
-        raise ValueError(f"record must be a JSON object, got {json.dumps(rec)}")
-    return rec
+def _read_jsonl(path, take) -> None:
+    """Call ``take`` on each record of a JSONL file, one JSON object per
+    non-blank line; any error it or the parse raises names the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                if type(rec) is not dict:
+                    raise ValueError(f"record must be a JSON object, got {json.dumps(rec)}")
+                take(rec)
+            except (ValueError, KeyError) as exc:
+                raise _record_error(path, lineno, exc) from None
 
 
 def read_json(path):
@@ -74,33 +95,25 @@ def read_json(path):
 def read_points_jsonl(path) -> list[PointCloud]:
     """Group records into clouds, frames in first-appearance order."""
     rows: dict[str, list[tuple]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = _json_object(line)
-                row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
-                       rec["dt"], rec["sweep"])
-                if type(row[-1]) is not int or not finite_numbers(row):
-                    check_number_fields(dict(zip(_POINT_NUMBERS, row)), integers=("sweep",))
-                frame = rec["frame"]
-                if type(frame) is not str:
-                    raise field_error("frame", "a string", frame)
-            except (ValueError, KeyError) as exc:
-                raise _record_error(path, lineno, exc) from None
-            rows.setdefault(frame, []).append(row)
+
+    def take(rec):
+        row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
+               rec["dt"], rec["sweep"])
+        if type(row[-1]) is not int or not finite_numbers(row):
+            check_number_fields(dict(zip(_POINT_NUMBERS, row)), integers=("sweep",))
+        frame = rec["frame"]
+        # a cloud is built after all its rows, so the line of a bad id is named here
+        if type(frame) is not str:
+            raise field_error("frame", "a string", frame)
+        rows.setdefault(frame, []).append(row)
+
+    _read_jsonl(path, take)
     return [PointCloud(frame, frame_rows) for frame, frame_rows in rows.items()]
 
 
 # ---------------------------------------------------------------------------
 # boxes.jsonl
 # ---------------------------------------------------------------------------
-
-# JSON names of the Box3D number fields, in Box3D order
-_BOX_NUMBERS = ("cx", "cy", "cz", "w", "l", "h", "yaw", "vx", "vy", "score")
-
 
 def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
     rec = {
@@ -120,6 +133,7 @@ def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
 
 
 def write_boxes_jsonl(path, frames) -> None:
+    frames = _unique_frames(frames)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for frame in frames:
             for b in frame.gt:
@@ -134,44 +148,34 @@ def write_boxes_jsonl(path, frames) -> None:
 
 def read_boxes_jsonl(path) -> list[FrameAnnotations]:
     """Group records into frames, in first-appearance order; every record of a
-    frame names the same condition, and only predictions carry a score."""
+    frame names the same condition, and only predictions carry a score.
+    ``FrameAnnotations`` and ``Box3D`` check the fields."""
     frames: dict[str, FrameAnnotations] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = _json_object(line)
-                role, frame_id, condition = rec["role"], rec["frame"], rec["condition"]
-                if role not in ("gt", "pred"):
-                    raise field_error("role", "'gt' or 'pred'", role)
-                if ("score" in rec) != (role == "pred"):
-                    problem = "is only for" if role == "gt" else "is required for"
-                    raise ValueError(f"field 'score' {problem} role 'pred'")
-                numbers = (rec["cx"], rec["cy"], rec["cz"], rec["w"], rec["l"], rec["h"],
-                           rec["yaw"], rec["vx"], rec["vy"], rec.get("score", 0.0))
-                if not finite_numbers(numbers):
-                    check_number_fields(dict(zip(_BOX_NUMBERS, numbers)))
-                if type(frame_id) is not str:
-                    raise field_error("frame", "a string", frame_id)
-                frame = frames.get(frame_id)
-                if frame is None:
-                    if condition not in CONDITIONS:
-                        raise field_error("condition", f"one of {', '.join(CONDITIONS)}",
-                                          condition)
-                    frame = frames[frame_id] = FrameAnnotations(frame_id, condition)
-                elif condition != frame.condition:
-                    raise ValueError(f"field 'condition' is {json.dumps(condition)}, but earlier "
-                                     f"records of frame {frame_id!r} say {frame.condition!r}")
-                attr = rec["attr"]
-                if attr is not None and type(attr) is not str:
-                    raise field_error("attr", "a string or null", attr)
-                box = Box3D(*numbers[:9], class_name=rec["class"], attribute=attr,
-                            score=rec.get("score"))
-            except (ValueError, KeyError) as exc:
-                raise _record_error(path, lineno, exc) from None
-            (frame.pred if role == "pred" else frame.gt).append(box)
+
+    def take(rec):
+        role, frame_id, condition = rec["role"], rec["frame"], rec["condition"]
+        if role not in ("gt", "pred"):
+            raise field_error("role", "'gt' or 'pred'", role)
+        if ("score" in rec) != (role == "pred"):
+            problem = "is only for" if role == "gt" else "is required for"
+            raise ValueError(f"field 'score' {problem} role 'pred'")
+        if role == "pred" and rec["score"] is None:  # Box3D reads None as "no score"
+            raise field_error("score", "a number", None)
+        try:
+            frame = frames.get(frame_id)
+        except TypeError:  # an unhashable id, which FrameAnnotations names
+            frame = None
+        if frame is None:
+            frame = frames[frame_id] = FrameAnnotations(frame_id, condition)
+        elif condition != frame.condition:
+            raise ValueError(f"field 'condition' is {json.dumps(condition)}, but earlier "
+                             f"records of frame {frame_id!r} say {frame.condition!r}")
+        box = Box3D(rec["cx"], rec["cy"], rec["cz"], rec["w"], rec["l"], rec["h"], rec["yaw"],
+                    rec["vx"], rec["vy"], class_name=rec["class"], attribute=rec["attr"],
+                    score=rec.get("score"))
+        (frame.pred if role == "pred" else frame.gt).append(box)
+
+    _read_jsonl(path, take)
     return list(frames.values())
 
 
@@ -187,7 +191,7 @@ def write_feature_map(path, data: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(PANF_MAGIC)
         fh.write(struct.pack("<III", h, w, c))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(data, dtype="<f4")))
 
 
 def read_feature_map(path) -> np.ndarray:

@@ -15,11 +15,11 @@ origin, so adjacent bands partition exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import check_number_fields, field_error, finite_sum, require
+from .tensor import check_number_fields, field_error, finite_numbers, require
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -44,6 +44,12 @@ _EXCLUDED = {
 }
 
 
+def check_condition(condition) -> None:
+    """The one rule for a condition tag: one of ``CONDITIONS``."""
+    if condition not in CONDITIONS:
+        raise field_error("condition", f"one of {', '.join(CONDITIONS)}", condition)
+
+
 def _normalize_yaw(yaw: float) -> float:
     """Wrap into (-pi, pi]."""
     wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
@@ -54,7 +60,8 @@ def _normalize_yaw(yaw: float) -> float:
 
 @dataclass
 class Box3D:
-    """Axis sizes are (w, l, h) with l along the heading; score only on predictions."""
+    """Axis sizes are (w, l, h) with l along the heading; score only on predictions.
+    A bad field is named by its boxes.jsonl key (``cx``, ``cy``, ``cz``, ``class``, ``attr``)."""
 
     x: float
     y: float
@@ -70,14 +77,16 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self):
-        if not finite_sum((self.x, self.y, self.z, self.w, self.l, self.h,
-                           self.yaw, self.vx, self.vy)):
-            check_number_fields({name: getattr(self, name) for name in _BOX_FLOATS})
+        numbers = (self.x, self.y, self.z, self.w, self.l, self.h, self.yaw, self.vx, self.vy)
+        if not finite_numbers(numbers):
+            check_number_fields(dict(zip(_BOX_NUMBERS, numbers)))
         if min(self.w, self.l, self.h) <= 0:
             name = next(n for n in ("w", "l", "h") if getattr(self, n) <= 0)
             raise field_error(name, "positive", getattr(self, name))
         if self.class_name not in CLASS_NAMES:
             raise field_error("class", f"one of {', '.join(CLASS_NAMES)}", self.class_name)
+        if self.attribute is not None and not isinstance(self.attribute, str):
+            raise field_error("attr", "a string or null", self.attribute)
         score = self.score
         if score is not None and not (type(score) is float and 0.0 <= score <= 1.0):
             check_number_fields({"score": score})
@@ -88,15 +97,22 @@ class Box3D:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-_BOX_FLOATS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
+# boxes.jsonl keys of the Box3D number fields, in Box3D order
+_BOX_NUMBERS = ("cx", "cy", "cz", "w", "l", "h", "yaw", "vx", "vy")
 
 
 @dataclass
 class FrameAnnotations:
+    """One frame's boxes; ``frame_id`` is checked under its boxes.jsonl key ``frame``."""
+
     frame_id: str
     condition: str = "day"
     gt: list[Box3D] = field(default_factory=list)
     pred: list[Box3D] = field(default_factory=list)
+
+    def __post_init__(self):
+        require(isinstance(self.frame_id, str), "frame", "a string", self.frame_id)
+        check_condition(self.condition)
 
 
 @dataclass
@@ -339,14 +355,15 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     """Evaluate one split: optional condition tag plus a BEV range band.
 
     The band drops ground truth and predictions independently (half-open
-    [min, max) on distance from ego). An empty split is reported with the
+    [min, max) on distance from ego); a ``range_band`` replaces, and is
+    checked as, ``cfg.range_filter``. An empty split is reported with the
     explicit ``empty`` marker rather than zero metrics.
     """
-    band = tuple(range_band if range_band is not None else cfg.range_filter)
-    if not band[0] < band[1]:
-        raise ValueError(f"range band must have lo < hi, got {band[0]:g}:{band[1]:g}")
-    if condition is not None and condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}")
+    if range_band is not None:
+        cfg = replace(cfg, range_filter=tuple(range_band))
+    if condition is not None:
+        check_condition(condition)
+    band = tuple(cfg.range_filter)
     selected = [f for f in frames if condition is None or f.condition == condition]
     groups = _by_class(selected, band)
     n_gt = sum(len(gt) for per_frame in groups.values() for gt, _ in per_frame)

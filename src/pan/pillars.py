@@ -53,12 +53,14 @@ MAX_GRID_CELLS = 2048 * 2048
 @dataclass(eq=False)
 class PointCloud:
     """A frame's returns as float64 [N, 8] rows, from an array or from a list
-    of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8]."""
+    of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8].
+    ``frame_id`` is checked under its points.jsonl key ``frame``."""
 
     frame_id: str
     points: np.ndarray = ()
 
     def __post_init__(self):
+        require(isinstance(self.frame_id, str), "frame", "a string", self.frame_id)
         points = np.asarray(self.points, dtype=DTYPE)
         if points.shape == (0,):
             points = points.reshape(0, 8)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import ATTRIBUTES, CLASS_NAMES, CONDITIONS, Box3D
+from .metrics import ATTRIBUTES, CLASS_NAMES, Box3D, check_condition
 from .pillars import PointCloud
 from .tensor import check_numbers, finite_numbers, require
 
@@ -75,8 +75,7 @@ class SceneSpec:
     n_frames: int = 1
 
     def __post_init__(self):
-        require(self.condition in CONDITIONS, "condition", f"one of {', '.join(CONDITIONS)}",
-                self.condition)
+        check_condition(self.condition)
         check_numbers(self, ("n_objects", "position_range", "clutter_rate", "noise_pos",
                              "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
                       integers=("n_objects", "n_sweeps", "n_frames"),

@@ -24,18 +24,15 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def finite_sum(values) -> bool:
-    """One finiteness check for a whole record: False when a value is not a
-    number or the sum is not finite, an int too large for a float included."""
+def finite_numbers(values) -> bool:
+    """One finiteness check for a whole record: False when a value is a bool
+    or no number, or the sum is not finite, an int too large for a float included."""
+    if bool in map(type, values):
+        return False
     try:
         return math.isfinite(sum(values))
     except (TypeError, OverflowError):
         return False
-
-
-def finite_numbers(values) -> bool:
-    """``finite_sum`` for a parsed JSON record, where a bool is no number."""
-    return bool not in map(type, values) and finite_sum(values)
 
 
 def field_error(name: str, rule: str, value) -> ValueError:
@@ -48,12 +45,12 @@ def check_number_fields(fields: dict, integers: tuple = ()) -> None:
     """Raise ValueError naming the first field that is not a finite number,
     or not an integer for the names in ``integers``.
 
-    The record readers test ``finite_sum`` or ``finite_numbers`` of the fields
-    first and call this only when that fails, so a valid record costs one check.
+    Record checks test ``finite_numbers`` of the fields first and call this
+    only when that fails, so a valid record costs one check.
     """
     for name, value in fields.items():
         is_number = type(value) is not bool and isinstance(value, numbers.Real)
-        if is_number and not finite_sum((value,)):
+        if is_number and not finite_numbers((value,)):
             raise ValueError(f"field {name!r} is not finite")
         if not is_number or (name in integers and not isinstance(value, numbers.Integral)):
             raise field_error(name, "an integer" if name in integers else "a number", value)

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,25 @@ class TestBackbone:
             assert code == 0
         assert (tmp_path / "one_frame_000.panf").read_bytes() == \
             (tmp_path / "four_frame_000.panf").read_bytes()
+
+    def test_panf_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # float64 outputs differ by up to ~1e-15 between one and two OpenBLAS
+        # threads on the 60-car sweep scene; the float32 file must not differ
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"scene": {"n_objects": 60, "clutter_rate": 0.01,
+                                              "class_mix": {"car": 1.0}}}))
+        points = tmp_path / "points.jsonl"
+        code, _, _ = run(["gen", "--spec", str(spec), "--seed", "1", "--out-points", str(points),
+                          "--out-boxes", str(tmp_path / "boxes.jsonl")], capsys)
+        assert code == 0
+        maps = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas_{threads}.panf"
+            subprocess.run([sys.executable, "-m", "pan", "backbone", "--points", str(points),
+                            "--out", str(out)], check=True, capture_output=True, timeout=300,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, scene_files, threads):
@@ -347,7 +369,16 @@ class TestEval:
         _, boxes = scene_files
         code, out, err = run(["eval", "--boxes", str(boxes), "--range", band], capsys)
         assert code == 1 and "NDS" not in out
-        assert err.startswith("error: range band must have lo < hi")
+        lo, hi = band.split(":")
+        assert err == (f"error: field 'range_filter' must be two numbers lo < hi, "
+                       f"got [{float(lo)}, {float(hi)}]\n")
+
+    def test_infinite_lower_range_rejected(self, capsys, scene_files):
+        # as EvalConfig's range_filter: only the upper end may be infinite
+        _, boxes = scene_files
+        code, out, err = run(["eval", "--boxes", str(boxes), "--range=-inf:5"], capsys)
+        assert code == 1 and "NDS" not in out
+        assert err == "error: field 'range_filter[0]' is not finite\n"
 
 
 class TestNds:
@@ -418,8 +449,8 @@ class TestSafety:
         assert "error:" in err
 
     @pytest.mark.parametrize("flags, name", [
-        (["--speed-kmh", "nan"], "v0"),
-        (["--speed-kmh", "inf"], "v0"),
+        (["--speed-kmh", "nan"], "speed_kmh"),
+        (["--speed-kmh", "inf"], "speed_kmh"),
         (["--speed-kmh", "50", "--mu", "inf"], "mu"),
         (["--speed-kmh", "50", "--tr", "nan"], "t_r"),
     ])
@@ -429,8 +460,8 @@ class TestSafety:
         assert err == f"error: field '{name}' is not finite\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--speed-kmh", "1e200"], "field 'v0' must be small enough for a finite stopping "
-                                   "distance, got 2.777777777777778e+199"),
+        (["--speed-kmh", "1e200"], "field 'speed_kmh' must be small enough for a finite "
+                                   "stopping distance, got 1e+200"),
         (["--speed-kmh", "50", "--mu", "1e-320"], "field 'mu' must be large enough for a "
                                                   "finite stopping distance, got 1e-320"),
         (["--speed-kmh", "50", "--tr", "1e308"], "field 't_r' must be small enough for a "
@@ -440,6 +471,12 @@ class TestSafety:
         code, out, err = run(["safety", *flags], capsys)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_negative_speed_names_typed_value(self, capsys):
+        # the typed km/h value, not the m/s speed SafetyInput is given
+        code, out, err = run(["safety", "--speed-kmh", "-5"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: field 'speed_kmh' must be >= 0, got -5.0\n"
 
 
 class TestEvalGolden:

@@ -124,7 +124,8 @@ class TestMatchFrame:
     def test_non_finite_field_rejected_by_name(self, field, value):
         fields = dict(x=1.0, y=2.0, z=0.85, w=1.9, l=4.6, h=1.7, yaw=0.0, vx=0.0, vy=0.0)
         fields[field] = value
-        with pytest.raises(ValueError, match=rf"field '{field}' is not finite"):
+        key = {"x": "cx", "y": "cy", "z": "cz"}.get(field, field)  # the boxes.jsonl key
+        with pytest.raises(ValueError, match=rf"field '{key}' is not finite"):
             Box3D(**fields, class_name="car")
 
     @pytest.mark.parametrize("value, shown", [("1.5", '"1.5"'), (None, "null")])
@@ -468,8 +469,20 @@ class TestEvaluate:
 
     def test_empty_or_inverted_band_rejected(self):
         for band in ((25.0, 10.0), (10.0, 10.0)):
-            with pytest.raises(ValueError, match="range band"):
+            with pytest.raises(ValueError,
+                               match=r"field 'range_filter' must be two numbers lo < hi, got \["):
                 evaluate(self._two_band_frame(), self.CFG, range_band=band)
+
+    @pytest.mark.parametrize("condition, band, message", [
+        ("fog", None, 'field \'condition\' must be one of day, rain, night, got "fog"'),
+        (None, (None, 5.0), "field 'range_filter[0]' must be a number, got null"),
+        (None, ("0", 5.0), 'field \'range_filter[0]\' must be a number, got "0"'),
+        (None, (-math.inf, 5.0), "field 'range_filter[0]' is not finite"),
+    ])
+    def test_split_checked_by_the_config_and_frame_rules(self, condition, band, message):
+        with pytest.raises(ValueError) as info:
+            evaluate(self._two_band_frame(), self.CFG, condition=condition, range_band=band)
+        assert str(info.value) == message
 
 
 # every class below has ground truth in some examples; "bus" only ever predicted

@@ -20,7 +20,7 @@ from pan.io import (
     write_heatmap_pgm,
     write_points_jsonl,
 )
-from pan.metrics import EvalConfig, FrameAnnotations, evaluate
+from pan.metrics import Box3D, EvalConfig, FrameAnnotations, evaluate
 from pan.pillars import SWEEP_OFFSET, VX, VY, X, Y, PointCloud
 from pan.synth import CLASS_SIZES, PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
 from pan.tensor import Rng
@@ -495,6 +495,86 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"points\.jsonl:{i + 1}: invalid JSON"):
             read_points_jsonl(path)
+
+    @pytest.mark.parametrize("write, items", [
+        (write_boxes_jsonl, [FrameAnnotations("f"), FrameAnnotations("g"),
+                             FrameAnnotations("f", "rain")]),
+        (write_points_jsonl, [PointCloud("f", [(0.0,) * 8]), PointCloud("f", [(1.0,) * 8])]),
+    ], ids=["boxes", "points"])
+    def test_writers_refuse_a_repeated_frame_id(self, tmp_path, write, items):
+        # the readers group records by frame, so the two frames would read back as one
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError) as info:
+            write(path, items)
+        assert str(info.value) == "field 'frame' must be unique, got \"f\""
+        assert not path.exists()
+
+    @staticmethod
+    def _outcome(make):
+        """``make()`` and None, or None and the message of the ValueError it raises."""
+        try:
+            return make(), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    # every example rewrites the files, so sharing tmp_path between them is safe
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_constructors_follow_the_file_rules(self, tmp_path, data):
+        key = data.draw(st.sampled_from([*BOX_ARGS, "frame", "condition", "cloud frame"]))
+        # a null score is a record rule of the reader: Box3D reads None as "no score"
+        value = data.draw(FIELD_VALUES.filter(lambda v: key != "score" or v is not None))
+        if key == "cloud frame":
+            row = (1.0, 2.0, 0.5, 0.1, 0.0, 5.0, 0.0, 0)
+            records = [{"frame": value, **dict(zip(("x", "y", "z", "vx", "vy", "rcs", "dt",
+                                                    "sweep"), row))}]
+            built, error = self._outcome(lambda: [PointCloud(value, [row])])
+            write, read = write_points_jsonl, read_points_jsonl
+        else:
+            gt = {"frame": "frame_000", "role": "gt", "class": "car", "cx": 3.0, "cy": 4.0,
+                  "cz": 0.8, "w": 1.9, "l": 4.6, "h": 1.7, "yaw": 0.5, "vx": 1.0, "vy": 0.0,
+                  "attr": "vehicle.moving", "condition": "day"}
+            pred = {**gt, "role": "pred", "cx": 3.5, "score": 0.7}
+            records = [gt, pred]
+            for rec in records if key in ("frame", "condition") else [pred]:
+                rec[key] = value
+
+            def box(rec):
+                return Box3D(**{arg: rec[k] for k, arg in BOX_ARGS.items() if k in rec})
+
+            built, error = self._outcome(lambda: [FrameAnnotations(
+                pred["frame"], pred["condition"], gt=[box(gt)], pred=[box(pred)])])
+            write, read = write_boxes_jsonl, read_boxes_jsonl
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        _, read_error = self._outcome(lambda: read(path))
+        if read_error is not None:
+            prefix = re.match(rf"{re.escape(str(path))}:\d+: ", read_error)
+            assert prefix, read_error
+            read_error = read_error[prefix.end():]
+        assert error == read_error
+        if error is None:
+            p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+            write(p1, built)
+            back = read(p1)
+            write(p2, back)
+            assert p1.read_bytes() == p2.read_bytes()
+            if key != "cloud frame":
+                assert evaluate(back, EvalConfig()) == evaluate(built, EvalConfig())
+
+
+# boxes.jsonl key -> Box3D argument
+BOX_ARGS = {"cx": "x", "cy": "y", "cz": "z", "w": "w", "l": "l", "h": "h", "yaw": "yaw",
+            "vx": "vx", "vy": "vy", "class": "class_name", "attr": "attribute", "score": "score"}
+
+# one value for a box, frame or cloud field: numbers, NaN and inf, booleans, an
+# int too large for a float, null, known and unknown names, JSON containers
+FIELD_VALUES = st.one_of(
+    st.floats(), st.integers(-3, 3), st.just(10 ** 400), st.booleans(), st.none(),
+    st.sampled_from(["car", "tank", "day", "fog", "vehicle.moving", "frame_000", ""]),
+    st.just(["frame_000"]), st.just({}),
+)
 
 
 class TestFeatureMapFormat:
