@@ -487,22 +487,26 @@ def save_params(path, params: BackboneParams) -> None:
         fh.write("\n")
 
 
-def _read_param_arrays(path) -> dict:
-    """Name -> array of a ``save_params`` file, checked record by record; an
-    error names the file, the parameter (or the record's index) and the field."""
+def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> BackboneParams:
+    """Read parameters written by ``save_params``, checked record by record
+    against the backbone's own table; an error names the file, the parameter
+    (or the record's index) and the field."""
+    params = init_backbone(pillar_cfg, enh_cfg, Rng(0))
+    table = dict(_named_arrays(params))
     records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: must be a JSON list of parameter records, "
                          f"got {type(records).__name__}")
-    arrays = {}
+    loaded = set()
     for index, rec in enumerate(records):
         label = f"record {index}"
         try:
             if not isinstance(rec, dict):
                 raise ValueError(f"must be an object, got {json.dumps(rec, default=repr)}")
-            require(isinstance(rec.get("name"), str), "name", "a string", rec.get("name"))
-            label = f"parameter {rec['name']!r}"
-            require(rec["name"] not in arrays, "name", "unique", rec["name"])
+            name = rec.get("name")
+            require(isinstance(name, str), "name", "a string", name)
+            label = f"parameter {name!r}"
+            require(name not in loaded, "name", "unique", name)
             shape = rec.get("shape")
             require(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape),
                     "shape", "a list of integers >= 0", shape)
@@ -514,26 +518,14 @@ def _read_param_arrays(path) -> dict:
                                  f"numbers, got {got}")
             if not finite_numbers(values):
                 check_number_fields({f"values[{i}]": v for i, v in enumerate(values)})
+            require(name in table, "name", "a backbone parameter", name)
+            want = list(table[name].shape)
+            require(shape == want, "shape", json.dumps(want), shape)
         except ValueError as exc:
             raise ValueError(f"{path}: {label}: {exc}") from None
-        arrays[rec["name"]] = np.array(values, dtype=DTYPE).reshape(shape)
-    return arrays
-
-
-def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> BackboneParams:
-    """Read parameters written by ``save_params`` and validate every shape."""
-    arrays = _read_param_arrays(path)
-    params = init_backbone(pillar_cfg, enh_cfg, Rng(0))
-    named = _named_arrays(params)
-    unknown = sorted(set(arrays) - {name for name, _ in named})
-    if unknown:
-        raise ValueError(f"parameter file has unknown names: {', '.join(map(repr, unknown))}")
-    for name, current in named:
-        if name not in arrays:
-            raise ValueError(f"parameter file missing {name!r}")
-        if arrays[name].shape != current.shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {arrays[name].shape}, expected {current.shape}"
-            )
-        current[...] = arrays[name]
+        table[name][...] = np.array(values, dtype=DTYPE).reshape(shape)
+        loaded.add(name)
+    for name in table:
+        if name not in loaded:
+            raise ValueError(f"{path}: parameter {name!r} is missing")
     return params

@@ -27,16 +27,20 @@ from .synth import PerturbSpec, SceneSpec, generate_scene, perturb_to_prediction
 from .tensor import Rng, check_number_fields, field_error, require
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
     env = os.environ.get("PAN_SEED")
     if env is None:
         raise ValueError("no --seed given and PAN_SEED is not set")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PAN_SEED must be an integer, got {env!r}") from None
+    return _integer(env, "PAN_SEED")
 
 
 def _apply_section(cls, data, section: str, path):
@@ -69,11 +73,12 @@ def _load_sections(path, kind: str, sections: dict) -> dict:
 
 def _load_or_init_params(spec: str, pillar_cfg, enh_cfg):
     if spec.startswith("random:"):
-        return init_backbone(pillar_cfg, enh_cfg, Rng(int(spec.split(":", 1)[1])))
+        seed = _integer(spec.split(":", 1)[1], "SEED in --params random:SEED")
+        return init_backbone(pillar_cfg, enh_cfg, Rng(seed))
     return load_params(spec, pillar_cfg, enh_cfg)
 
 
-def _backbone_inputs(args, save_params_path=None):
+def _backbone_inputs(args):
     """Configs, parameters and point clouds shared by ``backbone`` and ``bench``."""
     config = _load_sections(args.config, "config",
                             {"pillar": PillarConfig, "enhancer": EnhancerConfig})
@@ -82,8 +87,6 @@ def _backbone_inputs(args, save_params_path=None):
     if args.no_conv:
         enh_cfg = dataclasses.replace(enh_cfg, conv_enabled=False)
     params = _load_or_init_params(args.params, pillar_cfg, enh_cfg)
-    if save_params_path:
-        save_params(save_params_path, params)
     clouds = pio.read_points_jsonl(args.points)
     if not clouds:
         raise ValueError("points file holds no frames")
@@ -124,13 +127,15 @@ def cmd_gen(args) -> int:
 def cmd_backbone(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args, args.save_params)
+    pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args)
 
     def run(cloud):
         return pan_backbone(cloud, params, pillar_cfg, enh_cfg, training=False)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         outputs = list(pool.map(run, clouds))
+    if args.save_params:
+        save_params(args.save_params, params)
 
     multi = len(clouds) > 1
     out_base = Path(args.out)
@@ -245,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--boxes", required=True)
-    p.add_argument("--range", help="BEV range band, e.g. 0:25 or 25:50")
+    p.add_argument("--range", help="BEV range band, e.g. 0:25 or 25:50; write a band "
+                   "that starts with '-' as --range=LO:HI")
     p.add_argument("--condition", choices=list(CONDITIONS) + ["all"], default="all")
     p.add_argument("--report", help="write the full report as JSON")
     p.set_defaults(func=cmd_eval)

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .metrics import Box3D, FrameAnnotations
-from .pillars import PointCloud
+from .pillars import SWEEP_INDEX, PointCloud
 from .tensor import DTYPE, check_number_fields, field_error, finite_numbers
 
 PANF_MAGIC = b"PANF"
@@ -31,27 +31,43 @@ PANF_MAGIC = b"PANF"
 _POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
 
 
-def _unique_frames(items) -> list:
-    """``items`` as a list, none sharing a ``frame_id``: a reader groups records
-    by frame, so a repeated id would merge two frames into one."""
+def _write_jsonl(path, items, records) -> None:
+    """Write the dicts ``records(item)`` yields for each item, one compact JSON
+    object per line. No two items may share a ``frame_id``, since a reader
+    groups records by frame; that holds before the file is opened."""
     items, seen = list(items), set()
     for item in items:
         if item.frame_id in seen:
             raise field_error("frame", "unique", item.frame_id)
         seen.add(item.frame_id)
-    return items
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for item in items:
+            for rec in records(item):
+                fh.write(json.dumps(rec, allow_nan=False) + "\n")
+
+
+def _readable(cloud: PointCloud) -> PointCloud:
+    """``cloud``, once every row is one that ``read_points_jsonl`` reads back
+    unchanged: finite, with an integer sweep. The first other row raises the
+    reader's own error (``sweep`` is the last field, so a whole float there
+    is reached only when it is the bad one)."""
+    pts = cloud.points
+    sweep = pts[:, SWEEP_INDEX]
+    bad = ~np.isfinite(pts).all(axis=1) | (np.floor(sweep) != sweep)
+    if bad.any():
+        check_number_fields(dict(zip(_POINT_NUMBERS, pts[bad.argmax()].tolist())),
+                            integers=("sweep",))
+    return cloud
 
 
 def write_points_jsonl(path, clouds) -> None:
-    clouds = _unique_frames(clouds)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for cloud in clouds:
-            for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
-                fh.write(json.dumps({
-                    "frame": cloud.frame_id, "x": x, "y": y, "z": z, "vx": vx, "vy": vy,
-                    "rcs": rcs, "sweep": int(sweep), "dt": dt,
-                }, allow_nan=False))
-                fh.write("\n")
+    def records(cloud):
+        for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
+            yield {"frame": cloud.frame_id, "x": x, "y": y, "z": z, "vx": vx, "vy": vy,
+                   "rcs": rcs, "sweep": int(sweep), "dt": dt}
+
+    # the map runs in the pre-pass, so a refused row leaves no file behind
+    _write_jsonl(path, map(_readable, clouds), records)
 
 
 def _record_error(path, lineno: int, exc: Exception) -> ValueError:
@@ -133,17 +149,9 @@ def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
 
 
 def write_boxes_jsonl(path, frames) -> None:
-    frames = _unique_frames(frames)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for frame in frames:
-            for b in frame.gt:
-                fh.write(json.dumps(_box_record(frame.frame_id, "gt", frame.condition, b),
-                                    allow_nan=False))
-                fh.write("\n")
-            for b in frame.pred:
-                fh.write(json.dumps(_box_record(frame.frame_id, "pred", frame.condition, b),
-                                    allow_nan=False))
-                fh.write("\n")
+    _write_jsonl(path, frames, lambda frame: (
+        _box_record(frame.frame_id, role, frame.condition, b)
+        for role, boxes in (("gt", frame.gt), ("pred", frame.pred)) for b in boxes))
 
 
 def read_boxes_jsonl(path) -> list[FrameAnnotations]:

@@ -226,43 +226,35 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     center (ties by (x, y, sweep_index)), which makes the result a pure
     function of the point set regardless of input order.
     """
-    w = cfg.width
+    w, size = cfg.width, cfg.pillar_size
     mask = np.zeros((cfg.height, w), dtype=bool)
     pts, flat = bin_points(pc, cfg)
     if flat.size == 0:
         return PillarGrid(mask, np.zeros((0, cfg.out_channels)))
 
     i, j = np.divmod(flat, w)
-    center_x = cfg.x_min + (j + 0.5) * cfg.pillar_size
-    center_y = cfg.y_min + (i + 0.5) * cfg.pillar_size
-    dist2 = (pts[:, X] - center_x) ** 2 + (pts[:, Y] - center_y) ** 2
+    dist2 = ((pts[:, X] - (cfg.x_min + (j + 0.5) * size)) ** 2
+             + (pts[:, Y] - (cfg.y_min + (i + 0.5) * size)) ** 2)
     # row-major pillar order, then the deterministic truncation order
     order = np.lexsort((pts[:, SWEEP_INDEX], pts[:, Y], pts[:, X], dist2, flat))
-    pts, flat = pts[order], flat[order]
-    center_x, center_y = center_x[order], center_y[order]
+    uniq, starts, counts = np.unique(flat[order], return_index=True, return_counts=True)
+    keep = np.arange(flat.size) - np.repeat(starts, counts) < cfg.max_points_per_pillar
+    pts = pts[order[keep]]
+    counts = np.minimum(counts, cfg.max_points_per_pillar)
+    starts = np.cumsum(counts) - counts
 
-    uniq, starts, counts = np.unique(flat, return_index=True, return_counts=True)
-    pos_in_pillar = np.arange(flat.size) - np.repeat(starts, counts)
-    keep = pos_in_pillar < cfg.max_points_per_pillar
-    pts, flat = pts[keep], flat[keep]
-    center_x, center_y = center_x[keep], center_y[keep]
-    kept_counts = np.minimum(counts, cfg.max_points_per_pillar)
-    kept_starts = np.concatenate(([0], np.cumsum(kept_counts)[:-1]))
-
-    mean_x = np.add.reduceat(pts[:, X], kept_starts) / kept_counts
-    mean_y = np.add.reduceat(pts[:, Y], kept_starts) / kept_counts
-    mean_x = np.repeat(mean_x, kept_counts)
-    mean_y = np.repeat(mean_y, kept_counts)
-
-    feats = np.column_stack([
-        pts[:, [X, Y, VX, VY, RCS, SWEEP_OFFSET]],
-        pts[:, X] - mean_x, pts[:, Y] - mean_y,
-        pts[:, X] - center_x, pts[:, Y] - center_y,
-    ])
+    # per-pillar mean and center, repeated to the pillar's kept points
+    xy = pts[:, [X, Y]]
+    mean = np.add.reduceat(xy, starts, axis=0) / counts[:, None]
+    ci, cj = np.divmod(uniq, w)
+    center = np.column_stack([cfg.x_min + (cj + 0.5) * size, cfg.y_min + (ci + 0.5) * size])
+    feats = np.column_stack([pts[:, [X, Y, VX, VY, RCS, SWEEP_OFFSET]],
+                             xy - np.repeat(mean, counts, axis=0),
+                             xy - np.repeat(center, counts, axis=0)])
     enc = linear(feats, pfn.lin)
     enc = batch_norm2d(enc, pfn.bn_stats, pfn.bn_gamma, pfn.bn_beta, training=training)
     enc = relu(enc)
-    pillar_feats = np.maximum.reduceat(enc, kept_starts, axis=0)
+    pillar_feats = np.maximum.reduceat(enc, starts, axis=0)
 
     mask.reshape(-1)[uniq] = True
     return PillarGrid(mask, pillar_feats)

@@ -756,8 +756,15 @@ class TestParamsIO:
          "field 'values[1]' must be a number, got true"),
         ('[{"name": "a", "shape": [2], "values": [NaN, 1.0]}]', "parameter 'a': ",
          "field 'values[0]' is not finite"),
-        ('[{"name": "a", "shape": [], "values": [1.0]}, {"name": "a", "shape": [], "values": [2.0]}]',
-         "parameter 'a': ", 'field \'name\' must be unique, got "a"'),
+        ('[{"name": "ln.gamma", "shape": [8], "values": [1.0, 1, 1, 1, 1, 1, 1, 1]},'
+         ' {"name": "ln.gamma", "shape": [8], "values": [2.0, 2, 2, 2, 2, 2, 2, 2]}]',
+         "parameter 'ln.gamma': ", 'field \'name\' must be unique, got "ln.gamma"'),
+        ('[{"name": "a", "shape": [], "values": [1.0]}]', "parameter 'a': ",
+         'field \'name\' must be a backbone parameter, got "a"'),
+        ('[{"name": "ln.gamma", "shape": [2, 4], "values": [1, 1, 1, 1, 1, 1, 1, 1]}]',
+         "parameter 'ln.gamma': ", "field 'shape' must be [8], got [2, 4]"),
+        ('[{"name": "ln.gamma", "shape": [8], "values": [1, 1, 1, 1, 1, 1, 1, 1]}]',
+         "parameter 'pfn.lin.weight' ", "is missing"),
     ])
     def test_load_rejects_malformed_record_by_field(self, tmp_path, text, where, message):
         path = tmp_path / "params.json"

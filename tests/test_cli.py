@@ -140,6 +140,30 @@ class TestBackbone:
         assert (tmp_path / "feat_frame_000.pgm").exists()
         assert "frame_000" in stdout and "frame_001" in stdout
 
+    def test_bad_points_file_writes_nothing(self, tmp_path, capsys):
+        points = tmp_path / "bad.jsonl"
+        points.write_text('{"frame": "f", "x": 1.0}\n')
+        params_path = tmp_path / "sp.json"
+        code, out, err = run(["backbone", "--points", str(points), "--save-params",
+                              str(params_path), "--out", str(tmp_path / "o.panf")], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {points}:1: missing field 'y'\n"
+        assert not params_path.exists()
+        assert not list(tmp_path.glob("o*.panf"))
+
+    @pytest.mark.parametrize("command", ["backbone", "bench"])
+    @pytest.mark.parametrize("seed", ["abc", ""])
+    def test_random_params_seed_must_be_an_integer(self, tmp_path, capsys, scene_files,
+                                                   command, seed):
+        points, _ = scene_files
+        capsys.readouterr()
+        flags = ["--out", str(tmp_path / "o.panf")] if command == "backbone" else []
+        code, out, err = run([command, "--points", str(points), "--params", f"random:{seed}",
+                              *flags], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: SEED in --params random:SEED must be an integer, got {seed!r}\n"
+        assert not list(tmp_path.glob("o*.panf"))
+
     def test_no_conv_shape(self, tmp_path, capsys, scene_files):
         points, _ = scene_files
         out = tmp_path / "feat.panf"
@@ -310,6 +334,10 @@ class TestBackbone:
         (lambda recs: recs[0].pop("name"), "record 0", "field 'name' must be a string, got null"),
         (lambda recs: recs[1]["values"].pop(), "parameter 'pfn.lin.bias'",
          "field 'values' must be a list of 4 numbers, got 3 values"),
+        (lambda recs: recs.append({"name": "zzz", "shape": [1], "values": [0.0]}),
+         "parameter 'zzz'", 'field \'name\' must be a backbone parameter, got "zzz"'),
+        (lambda recs: recs[0].update(shape=[1, 2], values=[0.0, 0.0]),
+         "parameter 'pfn.lin.weight'", "field 'shape' must be [10, 4], got [1, 2]"),
     ])
     def test_malformed_params_file_names_field(self, tmp_path, capsys, scene_files,
                                                edit, where, message):

@@ -189,6 +189,88 @@ class TestPillarize:
         assert np.array_equal(np.roll(mask_a, 1, axis=1), mask_b)
 
 
+def loop_pillarize(points, cfg, pfn, training):
+    """``pillarize`` by an explicit loop over the occupied cells: the mask, the
+    feature rows and, in training, the batch mean and variance of the encoder."""
+    size = cfg.pillar_size
+    cells = {}
+    for x, y, z, vx, vy, rcs, dt, sweep in points.tolist():
+        j = math.floor((x - cfg.x_min) / size)
+        i = math.floor((y - cfg.y_min) / size)
+        if 0 <= i < cfg.height and 0 <= j < cfg.width:
+            cells.setdefault((i, j), []).append((x, y, vx, vy, rcs, dt, sweep))
+    encoded = {}
+    for (i, j) in sorted(cells):
+        cx = cfg.x_min + (j + 0.5) * size
+        cy = cfg.y_min + (i + 0.5) * size
+        ranked = sorted(cells[(i, j)], key=lambda p: ((p[0] - cx) ** 2 + (p[1] - cy) ** 2,
+                                                      p[0], p[1], p[6]))
+        kept = ranked[:cfg.max_points_per_pillar]
+        mean_x = sum(p[0] for p in kept) / len(kept)
+        mean_y = sum(p[1] for p in kept) / len(kept)
+        encoded[(i, j)] = [
+            np.array([x, y, vx, vy, rcs, dt, x - mean_x, y - mean_y, x - cx, y - cy])
+            @ pfn.lin.weight + pfn.lin.bias
+            for x, y, vx, vy, rcs, dt, _ in kept
+        ]
+    rows = [e for cell in encoded.values() for e in cell]
+    if training:
+        mean = sum(rows) / len(rows)
+        var = sum((e - mean) ** 2 for e in rows) / len(rows)
+    else:
+        mean, var = pfn.bn_stats.mean, pfn.bn_stats.var
+    mask = np.zeros((cfg.height, cfg.width), dtype=bool)
+    features = []
+    for (i, j), cell in encoded.items():
+        mask[i, j] = True
+        norm = [np.maximum((e - mean) / np.sqrt(var + 1e-5) * pfn.bn_gamma + pfn.bn_beta, 0.0)
+                for e in cell]
+        features.append(np.max(norm, axis=0))
+    return mask, np.array(features), mean, var
+
+
+class TestPillarizeOracle:
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("max_points", [1, 3, 20])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_loop_oracle(self, seed, max_points, training):
+        cfg = small_cfg(max_points_per_pillar=max_points)
+        rng = Rng(seed)
+        pfn = init_pfn(cfg, rng)
+        pfn.bn_gamma = rng.uniform(0.5, 1.5, size=cfg.out_channels)
+        pfn.bn_beta = rng.normal(size=cfg.out_channels)
+        pfn.bn_stats = BatchNormStats(rng.normal(size=cfg.out_channels),
+                                      rng.uniform(0.5, 2.0, size=cfg.out_channels))
+        start = BatchNormStats(pfn.bn_stats.mean.copy(), pfn.bn_stats.var.copy())
+        # 200 points crowded into a 3 x 3 m corner (overfull pillars at every
+        # max_points), 60 spread over the grid and past its edges, 20 repeats
+        n_dense, n_wide = 200, 60
+        xy = np.concatenate([rng.uniform(-1.5, 1.5, size=(n_dense, 2)),
+                             rng.uniform(-9.0, 9.0, size=(n_wide, 2))])
+        sweep = rng.integers(0, 3, size=n_dense + n_wide)
+        pts = np.column_stack([xy, rng.normal(size=(n_dense + n_wide, 4)),
+                               0.05 * sweep, sweep])
+        # four returns at each of three pillar centres, told apart only by sweep
+        centres = np.repeat([[0.5, 0.5, 0.0], [-0.5, 0.5, 0.0], [0.5, -1.5, 0.0]], 4, axis=0)
+        sweeps = np.tile([2, 2, 1, 0], 3)
+        stacked = np.column_stack([centres, rng.normal(size=(12, 3)), 0.05 * sweeps, sweeps])
+        pts = np.concatenate([pts, pts[rng.integers(0, len(pts), size=20)], stacked])
+        counts = np.unique(np.floor(pts[:n_dense, :2]), axis=0, return_counts=True)[1]
+        assert counts.max() > max_points
+
+        mask, rows, mean, var = loop_pillarize(pts, cfg, pfn, training)
+        grid = pillarize(PointCloud("f", pts), cfg, pfn, training=training)
+        assert np.array_equal(grid.mask, mask)
+        assert np.allclose(grid.features, rows, atol=1e-12, rtol=0)
+        if training:
+            assert np.allclose(pfn.bn_stats.mean, 0.9 * start.mean + 0.1 * mean,
+                               atol=1e-12, rtol=0)
+            assert np.allclose(pfn.bn_stats.var, 0.9 * start.var + 0.1 * var,
+                               atol=1e-12, rtol=0)
+        else:
+            assert np.array_equal(pfn.bn_stats.mean, start.mean)
+
+
 class TestGatherScatter:
     def test_all_empty_grid(self):
         grid = PillarGrid(mask=np.zeros((4, 4), dtype=bool), features=np.zeros((0, 3)))

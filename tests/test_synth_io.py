@@ -21,7 +21,7 @@ from pan.io import (
     write_points_jsonl,
 )
 from pan.metrics import Box3D, EvalConfig, FrameAnnotations, evaluate
-from pan.pillars import SWEEP_OFFSET, VX, VY, X, Y, PointCloud
+from pan.pillars import SWEEP_INDEX, SWEEP_OFFSET, VX, VY, X, Y, PointCloud
 from pan.synth import CLASS_SIZES, PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
 from pan.tensor import Rng
 
@@ -508,6 +508,26 @@ class TestJsonl:
             write(path, items)
         assert str(info.value) == "field 'frame' must be unique, got \"f\""
         assert not path.exists()
+
+    @pytest.mark.parametrize("column, value", [
+        (X, math.nan), (VY, -math.inf), (SWEEP_INDEX, 0.5), (SWEEP_INDEX, math.nan),
+    ])
+    def test_points_writer_refuses_a_row_the_reader_would_not_read_back(self, tmp_path,
+                                                                         column, value):
+        # the bad row sits in the second cloud, so no byte of the first may be written
+        bad = np.zeros((3, 8))
+        bad[1, column] = value
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_points_jsonl(path, [PointCloud("f", np.zeros((2, 8))), PointCloud("g", bad)])
+        assert not path.exists()
+        # the reader's own error for the same record
+        names = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
+        rec = {"frame": "g", **dict(zip(names, bad[1].tolist()))}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError) as read_info:
+            read_points_jsonl(path)
+        assert f"{path}:1: {info.value}" == str(read_info.value)
 
     @staticmethod
     def _outcome(make):
