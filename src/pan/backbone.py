@@ -56,10 +56,10 @@ class EnhancerConfig:
     use_attn_out = True  # a constant, read by perfbench: attention always ends in attn_out
 
     def __post_init__(self):
-        # even kernels are rejected by conv_refine, which needs odd ones
         check_numbers(self, ("embed_dim", "num_heads", "conv_kernel"),
                       integers=("embed_dim", "num_heads", "conv_kernel"),
                       at_least={"embed_dim": 1, "num_heads": 1, "conv_kernel": 1})
+        require(self.conv_kernel % 2 == 1, "conv_kernel", "odd", self.conv_kernel)
         require(self.embed_dim % self.num_heads == 0, "embed_dim",
                 f"divisible by num_heads {self.num_heads}", self.embed_dim)
         check_number_fields({"dropout_p": self.dropout_p})

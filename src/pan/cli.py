@@ -49,7 +49,7 @@ def _apply_section(cls, data, section: str, path):
                          f"got {json.dumps(data)}")
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: section {section!r}: unknown keys: {', '.join(unknown)}")
     try:
         return cls(**data)
     except ValueError as exc:
@@ -66,7 +66,7 @@ def _load_sections(path, kind: str, sections: dict) -> dict:
                          f"got {type(data).__name__}")
     unknown = sorted(set(data) - set(sections))
     if unknown:
-        raise ValueError(f"unknown {kind} sections: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown {kind} sections: {', '.join(unknown)}")
     return {name: _apply_section(cls, data[name], name, path)
             for name, cls in sections.items() if name in data}
 
@@ -96,7 +96,10 @@ def _backbone_inputs(args):
 def _frame_path(base: Path, frame_id: str, multi: bool) -> Path:
     if not multi:
         return base
-    return base.with_name(f"{base.stem}_{frame_id}{base.suffix}")
+    name = f"{base.stem}_{frame_id}{base.suffix}"
+    require(Path(name).name == name and "\0" not in name, "frame", "usable in a file name",
+            frame_id)
+    return base.with_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,10 @@ def cmd_backbone(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     pillar_cfg, enh_cfg, params, clouds = _backbone_inputs(args)
+    multi = len(clouds) > 1
+    paths = [(_frame_path(Path(args.out), cloud.frame_id, multi),
+              args.viz and _frame_path(Path(args.viz), cloud.frame_id, multi))
+             for cloud in clouds]
 
     def run(cloud):
         return pan_backbone(cloud, params, pillar_cfg, enh_cfg, training=False)
@@ -137,14 +144,10 @@ def cmd_backbone(args) -> int:
     if args.save_params:
         save_params(args.save_params, params)
 
-    multi = len(clouds) > 1
-    out_base = Path(args.out)
-    for cloud, feat in zip(clouds, outputs):
-        path = _frame_path(out_base, cloud.frame_id, multi)
+    for cloud, feat, (path, viz_path) in zip(clouds, outputs, paths):
         pio.write_feature_map(path, feat)
         print(f"{cloud.frame_id}: wrote {path} shape={'x'.join(map(str, feat.shape))}")
-        if args.viz:
-            viz_path = _frame_path(Path(args.viz), cloud.frame_id, multi)
+        if viz_path:
             pio.write_heatmap_pgm(viz_path, pio.channel_sum(feat))
             print(f"{cloud.frame_id}: wrote {viz_path}")
     return 0

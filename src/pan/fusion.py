@@ -49,21 +49,19 @@ class BevFeatureMap:
 @dataclass(eq=False)
 class OccupancyMap:
     probs: np.ndarray  # [H, W] in [0, 1]
-    threshold: float = 0.5
 
     @property
     def binary(self) -> np.ndarray:
-        return self.probs >= self.threshold
+        return self.probs >= 0.5
 
 
-def occupancy_head(feat: BevFeatureMap, params: LinearParams,
-                   threshold: float = 0.5) -> OccupancyMap:
-    """Per-cell 1x1 linear over channels, logistic squash, >= threshold."""
+def occupancy_head(feat: BevFeatureMap, params: LinearParams) -> OccupancyMap:
+    """Per-cell 1x1 linear over channels, logistic squash; occupied at >= 0.5."""
     if params.in_dim != feat.channels or params.out_dim != 1:
         raise ValueError("occupancy head expects a [C, 1] linear")
     logits = feat.data @ params.weight[:, 0] + params.bias[0]
     probs = 1.0 / (1.0 + np.exp(-logits))
-    return OccupancyMap(probs=probs, threshold=threshold)
+    return OccupancyMap(probs=probs)
 
 
 def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
@@ -103,8 +101,8 @@ class McdaParams:
     ``value_proj[h][m]`` maps modality m's channels to the head value dim;
     ``out_proj[h]`` maps that to the output channels. Offsets (in
     normalized units) and weight logits come from linear predictors over
-    the query features; weights are softmax-normalized per (query, head) —
-    jointly over the modality x point axis by default.
+    the query features; weights are softmax-normalized per (query, head),
+    jointly over the modality x point axis.
     """
 
     heads: int
@@ -114,7 +112,7 @@ class McdaParams:
     out_proj: list    # [heads] LinearParams, value_dim -> out_channels
     offset_net: LinearParams  # Cq -> heads * modalities * K * 2
     weight_net: LinearParams  # Cq -> heads * modalities * K
-    normalize_jointly: bool = True
+    normalize_jointly = True  # a constant, read by perfbench: one softmax over modality x point
 
     def __post_init__(self):
         hmk = self.heads * self.modalities * self.points_per_head
@@ -125,8 +123,8 @@ class McdaParams:
 
 
 def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
-              heads: int, points_per_head: int, value_dim: int, rng: np.random.Generator,
-              normalize_jointly: bool = True) -> McdaParams:
+              heads: int, points_per_head: int, value_dim: int,
+              rng: np.random.Generator) -> McdaParams:
     m = len(map_channels)
     return McdaParams(
         heads=heads,
@@ -137,15 +135,13 @@ def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
         out_proj=[init_linear(value_dim, out_channels, rng) for _ in range(heads)],
         offset_net=init_linear(query_channels, heads * m * points_per_head * 2, rng),
         weight_net=init_linear(query_channels, heads * m * points_per_head, rng),
-        normalize_jointly=normalize_jointly,
     )
 
 
 def _normalized_weights(logits: np.ndarray, params: McdaParams) -> np.ndarray:
-    """Softmax over sampling weights: [Nq, H, M, K] -> same, rows summing to 1."""
+    """Softmax over each (query, head)'s M*K sampling logits: [Nq, H*M*K] -> [Nq, H, M, K]."""
     h, m, k = params.heads, params.modalities, params.points_per_head
-    flat = softmax_rows(logits.reshape(-1, m * k if params.normalize_jointly else k))
-    return flat.reshape(logits.shape[0], h, m, k)
+    return softmax_rows(logits.reshape(-1, m * k)).reshape(logits.shape[0], h, m, k)
 
 
 def mdca(query_feats: np.ndarray, ref_points: np.ndarray,

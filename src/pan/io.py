@@ -143,13 +143,24 @@ def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
         "attr": b.attribute,
     }
     if role == "pred":
-        rec["score"] = float(b.score if b.score is not None else 0.0)
+        rec["score"] = float(b.score)
     rec["condition"] = condition
     return rec
 
 
+def _scored(frame: FrameAnnotations) -> FrameAnnotations:
+    """``frame``, once only its predictions carry a score, as ``read_boxes_jsonl``
+    requires; the first other box raises the reader's own error."""
+    if any(b.score is not None for b in frame.gt):
+        raise ValueError("field 'score' is only for role 'pred'")
+    if any(b.score is None for b in frame.pred):
+        raise field_error("score", "a number", None)
+    return frame
+
+
 def write_boxes_jsonl(path, frames) -> None:
-    _write_jsonl(path, frames, lambda frame: (
+    # the map runs in the pre-pass, so a refused box leaves no file behind
+    _write_jsonl(path, map(_scored, frames), lambda frame: (
         _box_record(frame.frame_id, role, frame.condition, b)
         for role, boxes in (("gt", frame.gt), ("pred", frame.pred)) for b in boxes))
 

@@ -117,32 +117,22 @@ class FrameAnnotations:
 
 @dataclass
 class EvalConfig:
-    match_thresholds_m: tuple = (0.5, 1.0, 2.0, 4.0)
     range_filter: tuple = (0.0, 50.0)
-    min_recall: float = 0.1
-    min_precision: float = 0.1
-    tp_threshold_m: float = 2.0
+    # the fixed nuScenes protocol, constants rather than fields: AP at these BEV
+    # centre distances, TP errors at 2 m (one of them), and 10% AP floors
+    match_thresholds_m = (0.5, 1.0, 2.0, 4.0)
+    tp_threshold_m = 2.0
+    min_recall = 0.1
+    min_precision = 0.1
 
     def __post_init__(self):
-        thr, band = self.match_thresholds_m, self.range_filter
-        require(isinstance(thr, (list, tuple)) and len(thr) > 0, "match_thresholds_m",
-                "a non-empty list", thr)
+        band = self.range_filter
         require(isinstance(band, (list, tuple)) and len(band) == 2, "range_filter",
                 "two numbers lo < hi", band)
-        check_number_fields({
-            **{f"match_thresholds_m[{i}]": t for i, t in enumerate(thr)},
-            # the band's upper end may be infinite, as in ``pan eval --range 0:inf``
-            "range_filter[0]": band[0], "range_filter[1]": 0.0 if band[1] == math.inf else band[1],
-            "tp_threshold_m": self.tp_threshold_m,
-            "min_recall": self.min_recall, "min_precision": self.min_precision,
-        })
-        require(all(a < b for a, b in zip((0.0, *thr), thr)), "match_thresholds_m",
-                "positive and strictly ascending", thr)
+        # the band's upper end may be infinite, as in ``pan eval --range 0:inf``
+        check_number_fields({"range_filter[0]": band[0],
+                             "range_filter[1]": 0.0 if band[1] == math.inf else band[1]})
         require(band[0] < band[1], "range_filter", "two numbers lo < hi", band)
-        require(self.tp_threshold_m > 0, "tp_threshold_m", "> 0", self.tp_threshold_m)
-        # from 0.995 up no point of the 101-point recall grid lies past min_recall
-        require(0 <= self.min_recall < 0.995, "min_recall", "in [0, 0.995)", self.min_recall)
-        require(0 <= self.min_precision < 1, "min_precision", "in [0, 1)", self.min_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +367,9 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
             mean_ap=None, tp={}, nds=None, match_counts={},
         )
 
-    thresholds = (*cfg.match_thresholds_m, cfg.tp_threshold_m)
-    matched = {cls: _match_class(groups[cls], thresholds, cfg) for cls in classes_present}
-    ap = {cls: {thr: m[thr][0] for thr in cfg.match_thresholds_m} for cls, m in matched.items()}
+    matched = {cls: _match_class(groups[cls], cfg.match_thresholds_m, cfg)
+               for cls in classes_present}
+    ap = {cls: {thr: m[thr][0] for thr in m} for cls, m in matched.items()}
     class_tp = {cls: tp_errors(m[cfg.tp_threshold_m][1], cls) for cls, m in matched.items()}
     match_counts = {t: sum(len(m[t][1]) for m in matched.values()) for t in cfg.match_thresholds_m}
 

@@ -403,8 +403,9 @@ class TestConvRefine:
                                        rtol=0, atol=1e-10)
 
     def test_rejects_even_kernel(self):
-        params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0, conv_kernel=2),
-                               Rng(6))
+        # EnhancerConfig refuses an even conv_kernel, so only hand-built parameters have one
+        params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0), Rng(6))
+        params.conv1.kernel = np.zeros((2, 2, 2, 2))
         grid = PillarGrid(mask=np.zeros((4, 4), dtype=bool), features=np.zeros((0, 2)))
         with pytest.raises(ValueError, match="odd"):
             conv_refine(grid, params)

@@ -57,7 +57,9 @@ def loader_rejections(kind, first, second):
         (f'{{"{first}": 5}}', f"PATH: section '{first}' must be a JSON object, got 5"),
         (f'{{"{second}": null}}', f"PATH: section '{second}' must be a JSON object, got null"),
         (f'{{"{first}": {{}},\n "{second}": }}', "PATH:2: invalid JSON (Expecting value)"),
-        (f'{{"{first}": {{}}, "extra": {{}}}}', f"unknown {kind} sections: extra"),
+        (f'{{"{first}": {{}}, "extra": {{}}}}', f"PATH: unknown {kind} sections: extra"),
+        (f'{{"{second}": {{"zz": 1, "extra": 2}}}}',
+         f"PATH: section '{second}': unknown keys: extra, zz"),
     ]
 
 
@@ -150,6 +152,22 @@ class TestBackbone:
         assert err == f"error: {points}:1: missing field 'y'\n"
         assert not params_path.exists()
         assert not list(tmp_path.glob("o*.panf"))
+
+    @pytest.mark.parametrize("bad", ["b/c", "b\0c"])
+    def test_frame_id_unusable_in_a_file_name_writes_nothing(self, tmp_path, capsys, bad):
+        # the paths of every frame are derived before the first frame runs
+        points = tmp_path / "points.jsonl"
+        points.write_text("".join(
+            json.dumps({"frame": frame, "x": 1.0, "y": 2.0, "z": 0.0, "vx": 0.0, "vy": 0.0,
+                        "rcs": 1.0, "sweep": 0, "dt": 0.0}) + "\n" for frame in ("a", bad)))
+        params_path = tmp_path / "sp.json"
+        code, out, err = run(["backbone", "--points", str(points), "--out",
+                              str(tmp_path / "feat.panf"), "--viz", str(tmp_path / "feat.pgm"),
+                              "--save-params", str(params_path)], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: field 'frame' must be usable in a file name, "
+                       f"got {json.dumps(bad)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.jsonl"]
 
     @pytest.mark.parametrize("command", ["backbone", "bench"])
     @pytest.mark.parametrize("seed", ["abc", ""])
@@ -251,7 +269,7 @@ class TestBackbone:
         code, out, err = run(["backbone", "--points", str(points), "--config", str(bad),
                               "--out", str(tmp_path / "o.panf")], capsys)
         assert code == 1 and "wrote" not in out
-        assert err == f"error: unknown {section} config keys: {key}\n"
+        assert err == f"error: {bad}: section '{section}': unknown keys: {key}\n"
 
 
     @pytest.mark.parametrize("section, fields, name", [
@@ -265,6 +283,8 @@ class TestBackbone:
         ("enhancer", {"conv_kernel": 3.0}, "conv_kernel"),
         ("enhancer", {"conv_enabled": "yes"}, "conv_enabled"),
         ("pillar", {"x_max": -60.0}, "x_max"),
+        ("enhancer", {"conv_kernel": 2}, "conv_kernel"),
+        ("enhancer", {"conv_kernel": 4, "conv_enabled": False}, "conv_kernel"),
     ])
     def test_degenerate_config_names_field(self, tmp_path, capsys, scene_files,
                                            section, fields, name):

@@ -1,5 +1,6 @@
 """Occupancy head, bilinear sampling, and deformable cross-attention tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pan.fusion
-from pan.fusion import BevFeatureMap, McdaParams, bilinear_sample, init_mcda, mdca, occupancy_head
+from pan.fusion import (BevFeatureMap, McdaParams, OccupancyMap, bilinear_sample, init_mcda,
+                        mdca, occupancy_head)
 from pan.layers import LinearParams
 from pan.tensor import Rng
 
@@ -27,11 +29,10 @@ def bilinear_oracle(feat, p):
     return out
 
 
-def mdca_oracle(query_feats, ref_points, maps, params: McdaParams, per_modality=False):
+def mdca_oracle(query_feats, ref_points, maps, params: McdaParams):
     """Triple-loop evaluation of the cross-attention sum.
 
-    Weights are a softmax over each (query, head)'s modality x point logits,
-    or over each modality's K logits with ``per_modality``.
+    Weights are a softmax over each (query, head)'s modality x point logits.
     """
     nq = query_feats.shape[0]
     h, m, k = params.heads, params.modalities, params.points_per_head
@@ -43,7 +44,7 @@ def mdca_oracle(query_feats, ref_points, maps, params: McdaParams, per_modality=
     out = np.zeros((nq, out_dim))
     for q in range(nq):
         for hd in range(h):
-            rows = logits[q, hd] if per_modality else logits[q, hd].reshape(1, -1)
+            rows = logits[q, hd].reshape(1, -1)
             e = np.exp(rows - rows.max(axis=1, keepdims=True))
             weights = (e / e.sum(axis=1, keepdims=True)).reshape(m, k)
             acc = np.zeros(params.out_proj[hd].in_dim)
@@ -69,15 +70,23 @@ class TestOccupancyHead:
     def test_zero_features_zero_bias(self):
         feat = BevFeatureMap(data=np.zeros((4, 4, 3)), meters_per_cell=1.0)
         params = LinearParams(weight=np.zeros((3, 1)), bias=np.zeros(1))
-        occ = occupancy_head(feat, params, threshold=0.5)
+        occ = occupancy_head(feat, params)
         assert np.all(occ.probs == 0.5)
         assert np.all(occ.binary)  # >= rule
 
-    def test_threshold_above_one(self):
-        feat = BevFeatureMap(data=Rng(0).normal(size=(4, 4, 2)), meters_per_cell=1.0)
-        params = LinearParams(weight=np.ones((2, 1)), bias=np.zeros(1))
-        occ = occupancy_head(feat, params, threshold=1.0 + 1e-9)
-        assert not occ.binary.any()
+    # sigmoid(-1e-12) rounds below 0.5 and sigmoid(1e-12) to or above it
+    @pytest.mark.parametrize("bias, occupied", [
+        (-40.0, False), (-1.0, False), (-1e-12, False), (0.0, True), (1e-12, True),
+        (1.0, True), (40.0, True),
+    ])
+    def test_occupied_at_half_or_above(self, bias, occupied):
+        feat = BevFeatureMap(data=np.zeros((2, 3, 2)), meters_per_cell=1.0)
+        occ = occupancy_head(feat, LinearParams(weight=np.ones((2, 1)), bias=np.array([bias])))
+        assert np.array_equal(occ.binary, occ.probs >= 0.5)
+        assert np.array_equal(occ.binary, np.full((2, 3), occupied))
+
+    def test_map_holds_only_the_probabilities(self):
+        assert [f.name for f in dataclasses.fields(OccupancyMap)] == ["probs"]
 
     def test_logistic_table(self):
         data = np.array([[[-2.0], [0.0], [2.0]]])  # 1 x 3 x 1
@@ -206,23 +215,28 @@ class TestMdca:
         sums = weights.sum(axis=(2, 3))  # over (modality, point)
         assert np.allclose(sums, 1.0, atol=1e-9)
 
-    def test_per_modality_normalization(self):
-        rng = Rng(10)
-        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=2,
-                           heads=3, points_per_head=4, value_dim=5, rng=rng,
-                           normalize_jointly=False)
-        query = rng.normal(size=(6, 4))
-        logits = query @ params.weight_net.weight + params.weight_net.bias
+    @pytest.mark.parametrize("modalities, k", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2)])
+    def test_one_softmax_over_modalities_and_points(self, modalities, k):
+        # constant logits from the bias alone: each weight is its exp over the
+        # sum across every modality and point of the head, not of its modality
+        rng = Rng(9)
+        params = init_mcda(query_channels=4, map_channels=[3] * modalities, out_channels=2,
+                           heads=2, points_per_head=k, value_dim=5, rng=rng)
+        bias = np.arange(2 * modalities * k, dtype=float) / 3.0
+        logits = np.tile(bias, (3, 1))
         weights = pan.fusion._normalized_weights(logits, params)
-        assert np.allclose(weights.sum(axis=3), 1.0, atol=1e-12)  # over the points only
-        logits = logits.reshape(6, 3, 2, 4)
-        for q in range(6):
-            for hd in range(3):
-                for mod in range(2):
-                    row = logits[q, hd, mod]
-                    e = [math.exp(v - max(row)) for v in row]
-                    want = [v / sum(e) for v in e]
-                    assert np.allclose(weights[q, hd, mod], want, rtol=0.0, atol=1e-12)
+        for hd in range(2):
+            row = bias.reshape(2, modalities, k)[hd]
+            want = np.exp(row) / np.exp(row).sum()
+            for q in range(3):
+                assert np.allclose(weights[q, hd], want, rtol=0.0, atol=1e-12)
+
+    def test_joint_normalization_is_a_constant(self):
+        # read by perfbench, but no longer a field that a caller could set
+        params = init_mcda(query_channels=2, map_channels=[2], out_channels=2, heads=1,
+                           points_per_head=1, value_dim=2, rng=Rng(0))
+        assert params.normalize_jointly is True
+        assert "normalize_jointly" not in {f.name for f in dataclasses.fields(McdaParams)}
 
     def test_zero_queries(self):
         rng = Rng(12)
@@ -275,20 +289,6 @@ class TestMdca:
         got = mdca(query, refs, maps, params)
         want = mdca_oracle(query, refs, maps, params)
         assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_per_modality_normalization_matches_oracle(self):
-        rng = Rng(11)
-        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=3,
-                           heads=2, points_per_head=3, value_dim=4, rng=rng,
-                           normalize_jointly=False)
-        maps = [BevFeatureMap(data=rng.normal(size=(4, 5, 3)), meters_per_cell=1.0),
-                BevFeatureMap(data=rng.normal(size=(2, 3, 2)), meters_per_cell=2.0)]
-        query = rng.normal(size=(7, 4))
-        refs = rng.random(size=(7, 2))
-        got = mdca(query, refs, maps, params)
-        assert np.max(np.abs(got - mdca_oracle(query, refs, maps, params,
-                                               per_modality=True))) < 1e-10
-        assert np.max(np.abs(got - mdca_oracle(query, refs, maps, params))) > 1e-6
 
     @pytest.mark.parametrize("nq, k", [(1, 1), (5, 2), (12, 4)])
     def test_one_batched_step_per_head(self, monkeypatch, nq, k):

@@ -5,9 +5,9 @@ the 101-point linear-interpolation staircase written out with exact
 fractions, and the single-frame report is derived pair by pair.
 """
 
+import dataclasses
 import itertools
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -441,31 +441,11 @@ class TestEvaluate:
 
         monkeypatch.setattr(pan.metrics, "_match", counting)
         frames = self._mixed_frames()
-        for cfg in (self.CFG, EvalConfig(tp_threshold_m=3.0)):
-            seen.clear()
-            walked_thresholds.clear()
-            evaluate(frames, cfg)
-            # one walk per (frame, class), and each walk serves every threshold
-            assert set(seen.values()) == {1}
-            assert len(seen) == len(frames) * 2  # car and pedestrian
-            assert walked_thresholds == {frozenset(cfg.match_thresholds_m) | {cfg.tp_threshold_m}}
-
-    def test_tp_threshold_outside_ap_thresholds(self):
-        cfg = EvalConfig(tp_threshold_m=3.0)
-        frames = self._mixed_frames()
-        report = evaluate(frames, cfg)
-        for cls in ("car", "pedestrian"):
-            pairs = []
-            for frame in frames:
-                gt = [b for b in frame.gt if b.class_name == cls]
-                pred = [b for b in frame.pred if b.class_name == cls]
-                matches, _, _ = match_frame(gt, pred, 3.0)
-                pairs.extend((pred[pi], gt[gi]) for pi, gi in matches)
-            assert report.class_tp[cls] == tp_errors(pairs, cls)
-            assert list(report.ap[cls]) == list(cfg.match_thresholds_m)
-        # the 2.5 m car offset matches at 3 m but not at 2 m
-        assert report.class_tp["car"] != evaluate(frames, self.CFG).class_tp["car"]
-        assert list(report.match_counts) == list(cfg.match_thresholds_m)
+        evaluate(frames, self.CFG)
+        # one walk per (frame, class), and each walk serves every threshold
+        assert set(seen.values()) == {1}
+        assert len(seen) == len(frames) * 2  # car and pedestrian
+        assert walked_thresholds == {frozenset(self.CFG.match_thresholds_m)}
 
     def test_empty_or_inverted_band_rejected(self):
         for band in ((25.0, 10.0), (10.0, 10.0)):
@@ -533,38 +513,62 @@ class TestEvaluateSplits:
         assert got == want
 
 
-class TestEvalConfig:
-    @pytest.mark.parametrize("thresholds", [
-        (1.0, 1.0, 2.0), (2.0, 1.0), (0.0, 1.0), (-0.5, 1.0), (), (float("nan"),),
-    ])
-    def test_thresholds_must_be_positive_and_strictly_ascending(self, thresholds):
-        with pytest.raises(ValueError, match="match_thresholds_m"):
-            EvalConfig(match_thresholds_m=thresholds)
+class TestNuScenesProtocol:
+    """The fixed nuScenes protocol that ``EvalConfig`` holds as constants: AP at
+    0.5, 1, 2 and 4 m, TP errors from the 2 m matches, 10% recall and precision floors."""
 
-    @pytest.mark.parametrize("tp", [0.0, -2.0, float("nan")])
-    def test_tp_threshold_must_be_positive(self, tp):
-        with pytest.raises(ValueError, match="tp_threshold_m"):
-            EvalConfig(tp_threshold_m=tp)
+    CFG = EvalConfig()
 
-    @pytest.mark.parametrize("name, value, rule", [
-        ("min_precision", 1.0, "must be in [0, 1), got 1.0"),
-        ("min_precision", -0.1, "must be in [0, 1), got -0.1"),
-        ("min_precision", math.nan, "is not finite"),
-        ("min_recall", 1.0, "must be in [0, 0.995), got 1.0"),
-        ("min_recall", 0.995, "must be in [0, 0.995), got 0.995"),
-        ("min_recall", -0.5, "must be in [0, 0.995), got -0.5"),
-        ("min_recall", math.nan, "is not finite"),
-        ("min_recall", "0.1", 'must be a number, got "0.1"'),
-        ("min_precision", True, "must be a number, got true"),
-    ])
-    def test_ap_floors_rejected_by_field(self, name, value, rule):
-        with pytest.raises(ValueError, match=re.escape(f"field '{name}' {rule}")):
-            EvalConfig(**{name: value})
+    def test_range_filter_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(EvalConfig)] == ["range_filter"]
 
-    def test_ap_floor_edges_accepted(self):
-        frames = [FrameAnnotations("f", "day", gt=[car(0, 0), car(15, 0)],
-                                   pred=[car(0, 0, score=0.9), car(40, 0, score=0.8)])]
-        for cfg in (EvalConfig(min_recall=0.0, min_precision=0.0),
-                    EvalConfig(min_recall=0.994, min_precision=0.999)):
-            report = evaluate(frames, cfg)
-            assert 0.0 <= report.mean_ap < 1.0
+    @staticmethod
+    def _offset_frame(offset):
+        return [FrameAnnotations("f", "day", gt=[car(10, 0)],
+                                 pred=[car(10 + offset, 0, score=0.9)])]
+
+    # dyadic offsets, so the BEV distance is exact at the threshold edges
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 1.875, 2.0, 3.0,
+                                        3.875, 4.0, 6.0])
+    def test_offset_matches_at_exactly_the_thresholds_above_it(self, offset):
+        report = evaluate(self._offset_frame(offset), self.CFG)
+        hit = {thr: offset < thr for thr in (0.5, 1.0, 2.0, 4.0)}
+        assert report.ap["car"] == {thr: float(h) for thr, h in hit.items()}
+        assert report.match_counts == {thr: int(h) for thr, h in hit.items()}
+        assert report.mean_ap == pytest.approx(sum(hit.values()) / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.25, 1.5, 1.875, 2.0, 3.0])
+    def test_tp_errors_come_from_the_2m_matches(self, offset):
+        report = evaluate(self._offset_frame(offset), self.CFG)
+        if offset < 2.0:
+            want = {"ate": offset, "ase": 0.0, "aoe": 0.0, "ave": 0.0, "aae": 0.0}
+        else:  # matched at 4 m only, so no TP pair: every error is 1 by convention
+            want = dict.fromkeys(("ate", "ase", "aoe", "ave", "aae"), 1.0)
+        assert report.class_tp["car"] == pytest.approx(want, abs=1e-12)
+        assert report.tp == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n_gt", [1, 3, 6, 7, 9, 10, 12])
+    def test_recall_floor_is_ten_percent(self, n_gt):
+        # one exact hit among n_gt cars: precision 1 up to recall 1/n_gt, then 0;
+        # only the grid recalls 0.11..1.00 past the 10% floor count
+        frames = [FrameAnnotations("f", "day", gt=[car(6.0 * i, 0) for i in range(n_gt)],
+                                   pred=[car(0, 0, score=0.9)])]
+        kept = sum(1 for k in range(11, 101) if Fraction(k, 100) <= Fraction(1, n_gt))
+        got = average_precision(frames, "car", 2.0, self.CFG)
+        assert got == pytest.approx(kept / 90, abs=1e-12)
+
+    @pytest.mark.parametrize("n_fp", [1, 2, 4, 8, 9, 12])
+    def test_precision_floor_is_ten_percent(self, n_fp):
+        # n_fp misses outscore the one hit: the interpolated precision rises
+        # linearly from 0 at recall 0 to p = 1/(n_fp + 1) at recall 1, and only
+        # its part above the 10% floor counts
+        fps = [car(20, 6.0 * i, score=0.9 - 0.01 * i) for i in range(n_fp)]
+        frames = [FrameAnnotations("f", "day", gt=[car(0, 0)],
+                                   pred=[*fps, car(0, 0, score=0.1)])]
+        p = Fraction(1, n_fp + 1)
+        total = sum(max(Fraction(0), p * Fraction(k, 100) - Fraction(1, 10))
+                    for k in range(11, 101))
+        expected = total / 90 / (1 - Fraction(1, 10))
+        got = average_precision(frames, "car", 2.0, self.CFG)
+        assert got == pytest.approx(float(expected), abs=1e-12)
+        assert (got == 0.0) == (p <= Fraction(1, 10))

@@ -529,6 +529,33 @@ class TestJsonl:
             read_points_jsonl(path)
         assert f"{path}:1: {info.value}" == str(read_info.value)
 
+    @pytest.mark.parametrize("role, score, message", [
+        ("pred", None, "field 'score' must be a number, got null"),
+        ("gt", 0.5, "field 'score' is only for role 'pred'"),
+    ])
+    def test_boxes_writer_refuses_a_score_the_reader_would_not_read_back(self, tmp_path,
+                                                                        role, score, message):
+        # the bad box sits in the second frame, so no byte of the first may be written
+        def box(score):
+            return Box3D(1.0, 2.0, 0.0, 1.8, 4.5, 1.6, 0.0, 0.0, 0.0, class_name="car",
+                         score=score)
+
+        frames = [FrameAnnotations("f", gt=[box(None)], pred=[box(0.9)]),
+                  FrameAnnotations("g", **{role: [box(score)]})]
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_boxes_jsonl(path, frames)
+        assert str(info.value) == message
+        assert not path.exists()
+        # the reader's own error for the same record
+        rec = {"frame": "g", "role": role, "class": "car", "cx": 1.0, "cy": 2.0, "cz": 0.0,
+               "w": 1.8, "l": 4.5, "h": 1.6, "yaw": 0.0, "vx": 0.0, "vy": 0.0, "attr": None,
+               "score": score, "condition": "day"}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError) as read_info:
+            read_boxes_jsonl(path)
+        assert f"{path}:1: {message}" == str(read_info.value)
+
     @staticmethod
     def _outcome(make):
         """``make()`` and None, or None and the message of the ValueError it raises."""

@@ -124,18 +124,24 @@ def test_open_ended_range_filter_accepted():
     assert EvalConfig(range_filter=(0.0, math.inf)).range_filter == (0.0, math.inf)
 
 
+@pytest.mark.parametrize("kernel", range(1, 9))
+def test_conv_kernel_must_be_odd(kernel):
+    if kernel % 2:
+        assert EnhancerConfig(conv_kernel=kernel).conv_kernel == kernel
+    else:
+        with pytest.raises(ValueError) as info:
+            EnhancerConfig(conv_kernel=kernel)
+        assert str(info.value) == f"field 'conv_kernel' must be odd, got {kernel}"
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: EnhancerConfig(embed_dim=8, num_heads=3),
      "field 'embed_dim' must be divisible by num_heads 3, got 8"),
+    (lambda: EnhancerConfig(conv_kernel=2), "field 'conv_kernel' must be odd, got 2"),
     (lambda: PillarConfig(x_max=50.3),
      "field 'x_max' must be a whole number of 0.78125 m pillars above x_min -50, got 50.3"),
-    (lambda: EvalConfig(match_thresholds_m=(0.5, 1.0, 2.0, math.inf)),
-     "field 'match_thresholds_m[3]' is not finite"),
-    (lambda: EvalConfig(match_thresholds_m=(1.0, 0.5)),
-     "field 'match_thresholds_m' must be positive and strictly ascending, got [1.0, 0.5]"),
     (lambda: EvalConfig(range_filter=(50.0, 50.0)),
      "field 'range_filter' must be two numbers lo < hi, got [50.0, 50.0]"),
-    (lambda: EvalConfig(tp_threshold_m=0.0), "field 'tp_threshold_m' must be > 0, got 0.0"),
     (lambda: SafetyInput(v0=10.0, mu=0.0), "field 'mu' must be > 0, got 0.0"),
     (lambda: BevFeatureMap(np.zeros((2, 2, 1)), 0.0),
      "field 'meters_per_cell' must be > 0, got 0.0"),
