@@ -168,9 +168,10 @@ def cmd_eval(args) -> int:
     band = _parse_range(args.range) if args.range else None
     report = evaluate(frames, cfg, condition=condition, range_band=band)
     if args.report:
+        # serialised before the file is opened, so an error leaves no partial report
+        text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
     print(format_report_table(report))
     return 0
 

@@ -56,21 +56,27 @@ class OccupancyMap:
 
 
 def occupancy_head(feat: BevFeatureMap, params: LinearParams) -> OccupancyMap:
-    """Per-cell 1x1 linear over channels, logistic squash; occupied at >= 0.5."""
+    """Per-cell 1x1 linear over channels, logistic squash; occupied at >= 0.5.
+
+    A NaN or infinite logit raises; below about -709 exp overflows to inf
+    and the probability is 0.0.
+    """
     if params.in_dim != feat.channels or params.out_dim != 1:
         raise ValueError("occupancy head expects a [C, 1] linear")
-    logits = feat.data @ params.weight[:, 0] + params.bias[0]
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    logits = check_finite(feat.data @ params.weight[:, 0] + params.bias[0], "occupancy logits")
+    with np.errstate(over="ignore"):
+        probs = 1.0 / (1.0 + np.exp(-logits))
     return OccupancyMap(probs=probs)
 
 
-def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """sum_s weights[r, s] * bilinear(feat, pts[r, s]): [R, S, 2], [R, S] -> [R, C].
+def _corner_geometry(feat: BevFeatureMap, pts: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear corners of weighted samples: [..., S, 2], [..., S] -> cells, coefs [..., 4S].
 
     Coordinates are normalized (x, y); (0, 0) and (1, 1) are the first and
     last cell centers and x runs along width. Out-of-range points clamp to
-    the border; NaN raises.
+    the border; NaN raises. ``cells`` index ``feat.data.reshape(-1, C)``
+    and ``coefs`` are each corner's bilinear factor times its sample's weight.
     """
     pts = check_finite(np.clip(pts, 0.0, 1.0), "sample locations")
     h, w = feat.height, feat.width
@@ -78,14 +84,27 @@ def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
     j0, i0 = np.floor(x).astype(np.intp), np.floor(y).astype(np.intp)
     j1, i1 = np.minimum(j0 + 1, w - 1), np.minimum(i0 + 1, h - 1)
     fx, fy = x - j0, y - i0
-    corners = ((i0 * w + j0, (1 - fx) * (1 - fy)), (i0 * w + j1, fx * (1 - fy)),
-               (i1 * w + j0, (1 - fx) * fy), (i1 * w + j1, fx * fy))
-    flat = feat.data.reshape(-1, feat.channels)
-    out = np.zeros((pts.shape[0], feat.channels))
-    for s in range(pts.shape[1]):
-        for cell, coef in corners:
-            out += (weights[:, s] * coef[:, s])[:, None] * flat[cell[:, s]]
-    return out
+    cells = np.concatenate((i0 * w + j0, i0 * w + j1, i1 * w + j0, i1 * w + j1), axis=-1)
+    coefs = np.concatenate((weights * ((1 - fx) * (1 - fy)), weights * (fx * (1 - fy)),
+                            weights * ((1 - fx) * fy), weights * (fx * fy)), axis=-1)
+    return cells, coefs
+
+
+def _contract(flat: np.ndarray, cells: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_j coefs[r, j] * flat[cells[r, j]]: [R, 4S] -> [R, C].
+
+    One gather into [R, 4S, C] (``take`` beat fancy indexing by ~15%) and
+    one batched row-times-matrix product; every row is contracted alone,
+    so a row's bits do not depend on R.
+    """
+    return (coefs[:, None, :] @ flat.take(cells, axis=0))[:, 0]
+
+
+def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """sum_s weights[r, s] * bilinear(feat, pts[r, s]): [R, S, 2], [R, S] -> [R, C]."""
+    return _contract(feat.data.reshape(-1, feat.channels),
+                     *_corner_geometry(feat, pts, weights))
 
 
 def bilinear_sample(feat: BevFeatureMap, p) -> np.ndarray:
@@ -157,7 +176,10 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
 
     The value projection is affine, so each (head, modality) first sums
     the samples of all queries under their weights and then projects the
-    [Nq, C_m] sum once; memory stays O(Nq * C) per head.
+    [Nq, C_m] sum once. The bilinear corner geometry of a modality is
+    computed once for all heads; each (head, modality) then gathers its
+    4K corners per query in one call and contracts them with one batched
+    product, so memory stays O(Nq * 4K * C) per step.
     """
     if len(maps) != params.modalities:
         raise ValueError(
@@ -178,12 +200,15 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
     h, m, k = params.heads, params.modalities, params.points_per_head
     offsets = linear(query_feats, params.offset_net).reshape(nq, h, m, k, 2)
     weights = _normalized_weights(linear(query_feats, params.weight_net), params)
+    corners = [_corner_geometry(feat, ref_points[:, None, None] + offsets[:, :, mod],
+                                weights[:, :, mod]) for mod, feat in enumerate(maps)]
+    flats = [feat.data.reshape(-1, feat.channels) for feat in maps]
     out = np.zeros((nq, params.out_proj[0].out_dim))
     for hd in range(h):
         head_acc = np.zeros((nq, params.out_proj[hd].in_dim))
         for mod in range(m):
-            vp, w = params.value_proj[hd][mod], weights[:, hd, mod]
-            summed = _weighted_samples(maps[mod], ref_points[:, None] + offsets[:, hd, mod], w)
-            head_acc += summed @ vp.weight + w.sum(axis=1)[:, None] * vp.bias
+            vp, (cells, coefs) = params.value_proj[hd][mod], corners[mod]
+            summed = _contract(flats[mod], cells[:, hd], coefs[:, hd])
+            head_acc += summed @ vp.weight + weights[:, hd, mod].sum(axis=1)[:, None] * vp.bias
         out += linear(head_acc, params.out_proj[hd])
     return check_finite(out, "mdca output")

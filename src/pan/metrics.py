@@ -321,7 +321,8 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "range_band": list(self.range_band),
+            # JSON has no infinity: an open band end (``0:inf``) is written as null
+            "range_band": [end if math.isfinite(end) else None for end in self.range_band],
             "n_frames": self.n_frames,
             "n_gt": self.n_gt,
             "n_pred": self.n_pred,

@@ -429,6 +429,30 @@ class TestEval:
         assert err == "error: field 'range_filter[0]' is not finite\n"
 
 
+    def test_open_band_report_writes_null(self, tmp_path, capsys, scene_files):
+        _, boxes = scene_files
+        report_path = tmp_path / "inf.json"
+        code, out, err = run(["eval", "--boxes", str(boxes), "--range", "0:inf",
+                              "--report", str(report_path)], capsys)
+        assert code == 0 and err == ""
+        assert "all 0-infm" in out
+        assert json.loads(report_path.read_text())["range_band"] == [0.0, None]
+
+    def test_no_report_file_on_error(self, tmp_path, capsys, scene_files, monkeypatch):
+        # a value JSON cannot hold fails the serialisation before the file is opened
+        import pan.metrics
+
+        to_json = pan.metrics.MetricsReport.to_json_dict
+        monkeypatch.setattr(pan.metrics.MetricsReport, "to_json_dict",
+                            lambda self: {**to_json(self), "mAP": math.nan})
+        _, boxes = scene_files
+        report_path = tmp_path / "report.json"
+        code, out, err = run(["eval", "--boxes", str(boxes), "--report", str(report_path)],
+                             capsys)
+        assert code == 1 and "NDS" not in out
+        assert err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert not report_path.exists()
+
 class TestNds:
     def test_published_row(self, capsys):
         code, out, _ = run(["nds", "--map", "0.481", "--ate", "0.488", "--ase", "0.279",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ class TestOccupancyHead:
         hi = occupancy_head(BevFeatureMap(data=data + 0.5, meters_per_cell=1.0), params)
         assert np.all(hi.probs > lo.probs)
 
+    def test_nan_map_cell_raises(self):
+        data = np.zeros((2, 3, 2))
+        data[1, 2, 0] = math.nan
+        feat = BevFeatureMap(data=data, meters_per_cell=1.0)
+        with pytest.raises(FloatingPointError, match="occupancy logits"):
+            occupancy_head(feat, LinearParams(weight=np.ones((2, 1)), bias=np.zeros(1)))
+
+    def test_very_negative_logit_is_zero_without_warning(self):
+        data = np.array([[[-800.0], [-709.0], [0.0], [800.0]]])  # 1 x 4 x 1
+        feat = BevFeatureMap(data=data, meters_per_cell=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occ = occupancy_head(feat, LinearParams(weight=np.ones((1, 1)), bias=np.zeros(1)))
+        assert occ.probs[0, 0] == 0.0
+        assert 0.0 < occ.probs[0, 1] < 1e-300
+        assert occ.probs[0, 2] == 0.5 and occ.probs[0, 3] == 1.0
+
+    @given(st.lists(st.floats(-700, 700), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_finite_probabilities_are_the_logistic_formula(self, logits):
+        data = np.array(logits).reshape(1, -1, 1)
+        feat = BevFeatureMap(data=data, meters_per_cell=1.0)
+        occ = occupancy_head(feat, LinearParams(weight=np.ones((1, 1)), bias=np.zeros(1)))
+        assert np.array_equal(occ.probs, 1.0 / (1.0 + np.exp(-data[..., 0])))
+
     def test_exportable_as_pgm(self, tmp_path):
         from pan.io import write_heatmap_pgm
 
@@ -149,6 +175,49 @@ class TestBilinearSample:
         feat = BevFeatureMap(data=np.zeros((3, 3, 1)), meters_per_cell=1.0)
         with pytest.raises(FloatingPointError, match="sample locations"):
             bilinear_sample(feat, (0.5, math.nan))
+
+
+@st.composite
+def weighted_sample_cases(draw):
+    """A map (1x1 and 1xW included) and R x S weighted points: cell centres,
+    the border and beyond, and anywhere."""
+    h = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    w = draw(st.sampled_from([1, 2, 4, 7]))
+    c = draw(st.integers(1, 6))
+    r, s = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    feat = BevFeatureMap(data=rng.normal(size=(h, w, c)), meters_per_cell=1.0)
+    centre = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)).map(
+        lambda ji: (ji[0] / max(w - 1, 1), ji[1] / max(h - 1, 1)))
+    coord = st.one_of(st.sampled_from([0.0, 1.0, -0.25, 1.5]), st.floats(-1.0, 2.0))
+    pts = draw(st.lists(st.one_of(centre, st.tuples(coord, coord)),
+                        min_size=r * s, max_size=r * s))
+    return feat, np.array(pts, dtype=float).reshape(r, s, 2), rng.random(size=(r, s))
+
+
+class TestWeightedSamples:
+    """The batched sampler gives every row the bits it gets alone, so the
+    one-point collapse of mdca onto bilinear_sample is exact for any map."""
+
+    @given(weighted_sample_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_equals_its_call_alone(self, case):
+        feat, pts, weights = case
+        batched = pan.fusion._weighted_samples(feat, pts, weights)
+        assert batched.shape == (pts.shape[0], feat.channels)
+        for r in range(pts.shape[0]):
+            alone = pan.fusion._weighted_samples(feat, pts[r:r + 1], weights[r:r + 1])
+            assert np.array_equal(batched[r], alone[0])
+
+    @given(weighted_sample_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bilinear_sample_is_the_one_point_row(self, case):
+        feat, pts, _ = case
+        rows = pts[:, 0]
+        batched = pan.fusion._weighted_samples(feat, rows[:, None], np.ones((len(rows), 1)))
+        for r, p in enumerate(rows):
+            assert np.array_equal(batched[r], bilinear_sample(feat, p))
+            assert np.allclose(batched[r], bilinear_oracle(feat, p), atol=1e-12)
 
 
 class TestMdca:
@@ -311,6 +380,27 @@ class TestMdca:
         mdca(rng.normal(size=(nq, 4)), rng.random(size=(nq, 2)), maps, params)
         assert calls == {"bilinear_sample": 0, "linear": 2 + heads}
 
+
+    def test_geometry_once_per_modality_one_contraction_per_head(self, monkeypatch):
+        calls = {"_corner_geometry": [], "_contract": []}
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                calls[name].append(args[-1].shape)  # weights or coefs
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pan.fusion, name, recorded(name, getattr(pan.fusion, name)))
+        rng = Rng(14)
+        nq, heads, k = 5, 3, 2
+        params = init_mcda(query_channels=4, map_channels=[3, 2], out_channels=2,
+                           heads=heads, points_per_head=k, value_dim=3, rng=rng)
+        maps = [BevFeatureMap(data=rng.normal(size=(4, 4, c)), meters_per_cell=1.0)
+                for c in (3, 2)]
+        mdca(rng.normal(size=(nq, 4)), rng.random(size=(nq, 2)), maps, params)
+        assert calls == {"_corner_geometry": [(nq, heads, k)] * 2,
+                         "_contract": [(nq, 4 * k)] * (2 * heads)}
 
 class TestMdcaValidation:
     def _setup(self):
