@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearParams, init_linear, linear, softmax_rows
-from .tensor import DTYPE, check_finite, check_number_fields, require
+from .tensor import DTYPE, check_finite, check_number_fields, check_numbers, require
 
 
 @dataclass(eq=False)
 class BevFeatureMap:
-    """Dense BEV features [H, W, C] with their ground resolution."""
+    """Dense BEV features [H, W, C] with their ground resolution; a NaN or
+    infinite cell raises when the map is built."""
 
     data: np.ndarray
     meters_per_cell: float
@@ -30,6 +31,7 @@ class BevFeatureMap:
         self.data = np.asarray(self.data, dtype=DTYPE)
         if self.data.ndim != 3:
             raise ValueError("BEV feature map must be [H, W, C]")
+        check_finite(self.data, "BEV feature map")
         check_number_fields({"meters_per_cell": self.meters_per_cell})
         require(self.meters_per_cell > 0, "meters_per_cell", "> 0", self.meters_per_cell)
 
@@ -58,8 +60,8 @@ class OccupancyMap:
 def occupancy_head(feat: BevFeatureMap, params: LinearParams) -> OccupancyMap:
     """Per-cell 1x1 linear over channels, logistic squash; occupied at >= 0.5.
 
-    A NaN or infinite logit raises; below about -709 exp overflows to inf
-    and the probability is 0.0.
+    A NaN or infinite logit raises (a finite map can still overflow); below
+    about -709 exp overflows to inf and the probability is 0.0.
     """
     if params.in_dim != feat.channels or params.out_dim != 1:
         raise ValueError("occupancy head expects a [C, 1] linear")
@@ -134,11 +136,25 @@ class McdaParams:
     normalize_jointly = True  # a constant, read by perfbench: one softmax over modality x point
 
     def __post_init__(self):
+        sizes = ("heads", "modalities", "points_per_head")
+        check_numbers(self, sizes, integers=sizes, at_least=dict.fromkeys(sizes, 1))
         hmk = self.heads * self.modalities * self.points_per_head
         if self.offset_net.out_dim != 2 * hmk:
             raise ValueError("offset_net output must be heads*modalities*K*2")
         if self.weight_net.out_dim != hmk:
             raise ValueError("weight_net output must be heads*modalities*K")
+        if (len(self.value_proj) != self.heads
+                or any(len(row) != self.modalities for row in self.value_proj)):
+            raise ValueError("value_proj must be heads rows of modalities entries")
+        if len(self.out_proj) != self.heads:
+            raise ValueError("out_proj must have heads entries")
+        if len({out.out_dim for out in self.out_proj}) > 1:
+            raise ValueError("out_proj outputs must all have one width")
+        for hd, (row, out) in enumerate(zip(self.value_proj, self.out_proj)):
+            for mod, vp in enumerate(row):
+                if vp.out_dim != out.in_dim:
+                    raise ValueError(f"value_proj[{hd}][{mod}] output must be "
+                                     f"out_proj[{hd}] input {out.in_dim}, got {vp.out_dim}")
 
 
 def init_mcda(query_channels: int, map_channels: list[int], out_channels: int,
@@ -180,6 +196,9 @@ def mdca(query_feats: np.ndarray, ref_points: np.ndarray,
     computed once for all heads; each (head, modality) then gathers its
     4K corners per query in one call and contracts them with one batched
     product, so memory stays O(Nq * 4K * C) per step.
+
+    The sample locations are checked, as offsets come from the query
+    features; so is the output, since finite inputs can still overflow.
     """
     if len(maps) != params.modalities:
         raise ValueError(

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .metrics import Box3D, FrameAnnotations
-from .pillars import SWEEP_INDEX, PointCloud
+from .pillars import POINT_KEYS, PointCloud
 from .tensor import DTYPE, check_number_fields, field_error, finite_numbers
 
 PANF_MAGIC = b"PANF"
@@ -26,10 +26,6 @@ PANF_MAGIC = b"PANF"
 # ---------------------------------------------------------------------------
 # points.jsonl
 # ---------------------------------------------------------------------------
-
-# JSON names of the PointCloud columns, in column order
-_POINT_NUMBERS = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
-
 
 def _write_jsonl(path, items, records) -> None:
     """Write the dicts ``records(item)`` yields for each item, one compact JSON
@@ -46,28 +42,14 @@ def _write_jsonl(path, items, records) -> None:
                 fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
-def _readable(cloud: PointCloud) -> PointCloud:
-    """``cloud``, once every row is one that ``read_points_jsonl`` reads back
-    unchanged: finite, with an integer sweep. The first other row raises the
-    reader's own error (``sweep`` is the last field, so a whole float there
-    is reached only when it is the bad one)."""
-    pts = cloud.points
-    sweep = pts[:, SWEEP_INDEX]
-    bad = ~np.isfinite(pts).all(axis=1) | (np.floor(sweep) != sweep)
-    if bad.any():
-        check_number_fields(dict(zip(_POINT_NUMBERS, pts[bad.argmax()].tolist())),
-                            integers=("sweep",))
-    return cloud
-
-
 def write_points_jsonl(path, clouds) -> None:
+    # PointCloud has refused every row that read_points_jsonl would not read back
     def records(cloud):
         for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
             yield {"frame": cloud.frame_id, "x": x, "y": y, "z": z, "vx": vx, "vy": vy,
                    "rcs": rcs, "sweep": int(sweep), "dt": dt}
 
-    # the map runs in the pre-pass, so a refused row leaves no file behind
-    _write_jsonl(path, map(_readable, clouds), records)
+    _write_jsonl(path, clouds, records)
 
 
 def _record_error(path, lineno: int, exc: Exception) -> ValueError:
@@ -116,7 +98,7 @@ def read_points_jsonl(path) -> list[PointCloud]:
         row = (rec["x"], rec["y"], rec["z"], rec["vx"], rec["vy"], rec["rcs"],
                rec["dt"], rec["sweep"])
         if type(row[-1]) is not int or not finite_numbers(row):
-            check_number_fields(dict(zip(_POINT_NUMBERS, row)), integers=("sweep",))
+            check_number_fields(dict(zip(POINT_KEYS, row)), integers=("sweep",))
         frame = rec["frame"]
         # a cloud is built after all its rows, so the line of a bad id is named here
         if type(frame) is not str:

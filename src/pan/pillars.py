@@ -41,6 +41,9 @@ class RadarPoint(NamedTuple):
 # the columns of ``PointCloud.points``, in ``RadarPoint`` field order
 X, Y, Z, VX, VY, RCS, SWEEP_OFFSET, SWEEP_INDEX = range(8)
 
+# the points.jsonl keys of those columns, in column order
+POINT_KEYS = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
+
 # the per-point feature width that ``pillarize`` builds
 RAW_CHANNELS = 10
 
@@ -54,7 +57,9 @@ MAX_GRID_CELLS = 2048 * 2048
 class PointCloud:
     """A frame's returns as float64 [N, 8] rows, from an array or from a list
     of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8].
-    ``frame_id`` is checked under its points.jsonl key ``frame``."""
+    ``frame_id`` is checked under its points.jsonl key ``frame``. The rows
+    are checked once, when the cloud is built: the first with a non-finite
+    value or a fractional sweep raises the points reader's error for it."""
 
     frame_id: str
     points: np.ndarray = ()
@@ -66,6 +71,13 @@ class PointCloud:
             points = points.reshape(0, 8)
         if points.ndim != 2 or points.shape[1] != 8:
             raise ValueError(f"points must be an [N, 8] array, got shape {points.shape}")
+        sweep = points[:, SWEEP_INDEX]
+        bad = ~np.isfinite(points).all(axis=1) | (np.floor(sweep) != sweep)
+        if bad.any():
+            # sweep is the last key, so a whole float there is reached only
+            # when it is the bad value
+            check_number_fields(dict(zip(POINT_KEYS, points[bad.argmax()].tolist())),
+                                integers=("sweep",))
         self.points = points
 
     def __len__(self) -> int:
@@ -201,15 +213,18 @@ def bin_points(pc: PointCloud, cfg: PillarConfig) -> tuple[np.ndarray, np.ndarra
 
     Returns the in-range rows of ``pc.points`` and the row-major cell index
     i * W + j of each, with j = floor((x - x_min) / pillar_size) and i
-    likewise from y.
+    likewise from y. A point outside the grid is dropped however far away
+    it is: the bounds are compared in float, and only in-range indices are
+    cast to integers. NaN would fail every comparison and be dropped, so
+    the rule relies on ``PointCloud`` refusing it.
     """
     pts = pc.points
-    if not np.all(np.isfinite(pts)):
-        raise FloatingPointError("non-finite radar point fields")
-    j = np.floor((pts[:, X] - cfg.x_min) / cfg.pillar_size).astype(np.int64)
-    i = np.floor((pts[:, Y] - cfg.y_min) / cfg.pillar_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow to +-inf is out of range too
+        j = np.floor((pts[:, X] - cfg.x_min) / cfg.pillar_size)
+        i = np.floor((pts[:, Y] - cfg.y_min) / cfg.pillar_size)
     in_range = (i >= 0) & (i < cfg.height) & (j >= 0) & (j < cfg.width)
-    return pts[in_range], (i * cfg.width + j)[in_range]
+    flat = i[in_range].astype(np.int64) * cfg.width + j[in_range].astype(np.int64)
+    return pts[in_range], flat
 
 
 def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,

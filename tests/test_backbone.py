@@ -670,10 +670,19 @@ class TestCountWork:
         assert count_work(pc, pcfg, cfg).pillar_count == grid.pillar_count
 
     def test_rejects_non_finite_points(self):
-        pcfg = small_pillar_cfg()
+        # the cloud refuses the row when it is built, so count_work never sees it
         pts = [RadarPoint(x=1.0, y=1.0, z=0.0, vx=float("nan"), vy=0.0, rcs=1.0)]
-        with pytest.raises(FloatingPointError):
-            count_work(PointCloud("f", pts), pcfg, EnhancerConfig(embed_dim=8))
+        with pytest.raises(ValueError, match="^field 'vx' is not finite$"):
+            PointCloud("f", pts)
+
+    def test_far_points_dropped_without_warning(self):
+        pcfg = small_pillar_cfg()
+        cfg = EnhancerConfig(embed_dim=8)
+        near = RadarPoint(x=1.0, y=1.0, z=0.0, vx=0.0, vy=0.0, rcs=1.0)
+        far = [RadarPoint(x=x, y=y, z=0.0, vx=0.0, vy=0.0, rcs=1.0)
+               for x, y in ((1e20, 0.0), (-1e20, 0.0), (0.0, 1e20), (0.0, -1e20))]
+        alone = count_work(PointCloud("f", [near]), pcfg, cfg)
+        assert count_work(PointCloud("f", [*far, near]), pcfg, cfg) == alone
 
     def test_monotone_in_points(self):
         pcfg = small_pillar_cfg()

@@ -105,11 +105,20 @@ class TestOccupancyHead:
         assert np.all(hi.probs > lo.probs)
 
     def test_nan_map_cell_raises(self):
-        data = np.zeros((2, 3, 2))
-        data[1, 2, 0] = math.nan
-        feat = BevFeatureMap(data=data, meters_per_cell=1.0)
-        with pytest.raises(FloatingPointError, match="occupancy logits"):
-            occupancy_head(feat, LinearParams(weight=np.ones((2, 1)), bias=np.zeros(1)))
+        # the map refuses the cell when it is built, before any head runs
+        for value in (math.nan, math.inf, -math.inf):
+            data = np.zeros((2, 3, 2))
+            data[1, 2, 0] = value
+            with pytest.raises(FloatingPointError,
+                               match="^non-finite values in BEV feature map$"):
+                BevFeatureMap(data=data, meters_per_cell=1.0)
+
+    def test_finite_map_overflowing_logit_raises(self):
+        feat = BevFeatureMap(data=np.full((2, 3, 1), 1e308), meters_per_cell=1.0)
+        params = LinearParams(weight=np.full((1, 1), 10.0), bias=np.zeros(1))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                       match="occupancy logits"):
+            occupancy_head(feat, params)
 
     def test_very_negative_logit_is_zero_without_warning(self):
         data = np.array([[[-800.0], [-709.0], [0.0], [800.0]]])  # 1 x 4 x 1
@@ -430,9 +439,50 @@ class TestMdcaValidation:
             mdca(query, refs, maps, params)
 
     def test_nan_map_cell(self):
-        params, maps, query, refs = self._setup()
+        # the map refuses the cell when it is built, before mdca samples it
+        _, maps, _, _ = self._setup()
         data = maps[0].data.copy()
         data[:] = math.nan
-        maps[0] = BevFeatureMap(data=data, meters_per_cell=1.0)
-        with pytest.raises(FloatingPointError):
-            mdca(query, refs, maps, params)
+        with pytest.raises(FloatingPointError, match="^non-finite values in BEV feature map$"):
+            BevFeatureMap(data=data, meters_per_cell=1.0)
+
+    def test_finite_inputs_overflowing_output_raise(self):
+        # each head's output is a finite 1e308; their sum is not
+        params = McdaParams(
+            heads=2, modalities=1, points_per_head=1,
+            value_proj=[[identity_linear(1)], [identity_linear(1)]],
+            out_proj=[identity_linear(1), identity_linear(1)],
+            offset_net=zero_linear(1, 4),
+            weight_net=zero_linear(1, 2),
+        )
+        feat = BevFeatureMap(data=np.full((3, 3, 1), 1e308), meters_per_cell=1.0)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="mdca output"):
+            mdca(np.zeros((2, 1)), np.full((2, 2), 0.5), [feat], params)
+
+    @pytest.mark.parametrize("name", ["heads", "modalities", "points_per_head"])
+    def test_zero_sizes_rejected(self, name):
+        # mdca would fail on them with an IndexError or NumPy's reshape message
+        params, _, _, _ = self._setup()
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(params, **{name: 0})
+        assert str(info.value) == f"field '{name}' must be >= 1, got 0"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: {"value_proj": p.value_proj[:1]},
+         "value_proj must be heads rows of modalities entries"),
+        (lambda p: {"value_proj": [p.value_proj[0], p.value_proj[1][:1]]},
+         "value_proj must be heads rows of modalities entries"),
+        (lambda p: {"out_proj": p.out_proj[:1]}, "out_proj must have heads entries"),
+        (lambda p: {"out_proj": [p.out_proj[0], zero_linear(3, 5)]},
+         "out_proj outputs must all have one width"),
+        (lambda p: {"value_proj": [p.value_proj[0], [p.value_proj[1][0], zero_linear(2, 4)]]},
+         "value_proj[1][1] output must be out_proj[1] input 3, got 4"),
+        (lambda p: {"out_proj": [p.out_proj[0], zero_linear(4, 2)]},
+         "value_proj[1][0] output must be out_proj[1] input 4, got 3"),
+    ], ids=["missing_head_row", "short_modality_row", "missing_out_proj", "out_widths_differ",
+            "value_dim_too_wide", "out_proj_input_too_wide"])
+    def test_projection_table_checked_when_built(self, change, message):
+        params, _, _, _ = self._setup()
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(params, **change(params))
+        assert str(info.value) == message

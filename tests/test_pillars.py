@@ -20,6 +20,7 @@ from pan.pillars import (
     SWEEP_OFFSET,
     RadarPoint,
     TokenBatch,
+    bin_points,
     gather,
     init_pfn,
     pillarize,
@@ -107,17 +108,16 @@ class TestPillarize:
         assert np.array_equal(one.mask, two.mask)
 
     def test_non_finite_coordinates_rejected(self):
-        cfg = small_cfg()
+        # the cloud refuses the row when it is built, before any pillarize
         pts = [RadarPoint(x=float("nan"), y=0.0, z=0.0, vx=0.0, vy=0.0, rcs=0.0)]
-        with pytest.raises(FloatingPointError):
-            pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, Rng(0)))
+        with pytest.raises(ValueError, match="^field 'x' is not finite$"):
+            PointCloud("f", pts)
 
     def test_non_finite_elevation_rejected(self):
         # z never enters a feature, but NaN/Inf is an error state, not a value
-        cfg = small_cfg()
         pts = [RadarPoint(x=0.5, y=0.5, z=float("inf"), vx=0.0, vy=0.0, rcs=0.0)]
-        with pytest.raises(FloatingPointError):
-            pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, Rng(0)))
+        with pytest.raises(ValueError, match="^field 'z' is not finite$"):
+            PointCloud("f", pts)
 
     def test_out_of_range_points_dropped(self):
         cfg = small_cfg()
@@ -125,6 +125,24 @@ class TestPillarize:
                RadarPoint(x=0.0, y=-200.0, z=0.0, vx=0.0, vy=0.0, rcs=0.0)]
         grid = pillarize(PointCloud("f", pts), cfg, init_pfn(cfg, Rng(2)))
         assert grid.pillar_count == 0
+
+    @pytest.mark.parametrize("far", [1e20, -1e20, 1.7e308, -1.7e308])
+    def test_points_far_outside_the_grid_dropped_without_warning(self, far):
+        # no float -> int cast of an out-of-range index, and no overflow warning
+        # (tier-1 runs with RuntimeWarning as an error)
+        cfg = small_cfg(pillar_size=0.5)
+        kept = RadarPoint(x=1.3, y=2.7, z=0.0, vx=0.5, vy=-1.0, rcs=3.0)
+        pfn = init_pfn(cfg, Rng(2))
+        alone = pillarize(PointCloud("f", [kept]), cfg, pfn)
+        for x, y in ((far, 0.0), (0.0, far), (far, far)):
+            far_pt = RadarPoint(x=x, y=y, z=0.0, vx=0.0, vy=0.0, rcs=0.0)
+            pc = PointCloud("f", [far_pt, kept])
+            pts, flat = bin_points(pc, cfg)
+            assert np.array_equal(pts, pc.points[1:])
+            assert flat.tolist() == [21 * 32 + 18]  # i = floor(10.7 / 0.5), j = floor(9.3 / 0.5)
+            grid = pillarize(pc, cfg, pfn)
+            assert np.array_equal(grid.mask, alone.mask)
+            assert np.array_equal(grid.features, alone.features)
 
     def test_z_never_enters_features(self):
         cfg = small_cfg()

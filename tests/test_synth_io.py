@@ -484,6 +484,44 @@ class TestJsonl:
             assert got.points.shape == want.points.shape
             assert got.points.tobytes() == want.points.tobytes()  # -0.0 too
 
+    # every example rewrites the files, so sharing tmp_path between them is safe
+    @given(st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cloud_refuses_what_the_reader_refuses(self, tmp_path, data):
+        # the reader, run on the rows as records, is the oracle: a cloud either
+        # raises the reader's error for the first bad row or round-trips
+        n = data.draw(st.integers(1, 6))
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        sweep = st.one_of(st.integers(-2 ** 53, 2 ** 53).map(float), st.just(-0.0))
+        rows = np.array(data.draw(st.lists(st.tuples(*[number] * 7, sweep),
+                                           min_size=n, max_size=n)))
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+        fractional = number.filter(lambda v: v != math.floor(v))
+        for _ in range(data.draw(st.integers(0, 3))):
+            column = data.draw(st.integers(0, 7))
+            bad = st.one_of(non_finite, fractional) if column == SWEEP_INDEX else non_finite
+            rows[data.draw(st.integers(0, n - 1)), column] = data.draw(bad)
+        names = ("x", "y", "z", "vx", "vy", "rcs", "dt", "sweep")
+        records = tmp_path / "records.jsonl"
+        with records.open("w") as fh:
+            for row in rows.tolist():
+                rec = dict(zip(names, row))
+                if math.isfinite(row[SWEEP_INDEX]) and row[SWEEP_INDEX] == int(row[SWEEP_INDEX]):
+                    rec["sweep"] = int(row[SWEEP_INDEX])
+                fh.write(json.dumps({"frame": "f", **rec}) + "\n")
+        try:
+            read_points_jsonl(records)
+        except ValueError as exc:
+            want = re.sub(r"^\d+: ", "", str(exc).removeprefix(f"{records}:"))
+            with pytest.raises(ValueError) as info:
+                PointCloud("f", rows)
+            assert str(info.value) == want
+        else:
+            path = tmp_path / "out.jsonl"
+            write_points_jsonl(path, [PointCloud("f", rows)])
+            assert np.array_equal(read_points_jsonl(path)[0].points, rows)  # -0.0 reads as 0
+
     # every example rewrites the file, so sharing tmp_path between them is safe
     @given(st.data())
     @settings(max_examples=40, deadline=None,
