@@ -48,6 +48,10 @@ from .tensor import (DTYPE, Rng, check_finite, check_number_fields, check_number
 
 @dataclass
 class EnhancerConfig:
+    """Token-enhancer settings. ``embed_dim`` and ``conv_kernel`` size new weights,
+    and so ``load_params``' table, and ``count_work``; the forward pass reads
+    every width from the weights it is given."""
+
     embed_dim: int = 128
     num_heads: int = 1
     dropout_p: float = 0.1
@@ -66,10 +70,6 @@ class EnhancerConfig:
         require(0 <= self.dropout_p < 1, "dropout_p", "in [0, 1)", self.dropout_p)
         require(isinstance(self.conv_enabled, bool), "conv_enabled", "true or false",
                 self.conv_enabled)
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
 
 
 @dataclass(eq=False)
@@ -162,17 +162,24 @@ def _row_blocks(p_count: int) -> list[slice]:
     return [slice(lo, min(lo + rows, p_count)) for lo in range(0, p_count, rows)]
 
 
+def _head_width(q: np.ndarray, cfg: EnhancerConfig) -> int:
+    """d_k, the width of one head: the projected ``q``'s width over ``num_heads``."""
+    require(q.shape[1] % cfg.num_heads == 0, "num_heads",
+            f"a divisor of the attention width {q.shape[1]}", cfg.num_heads)
+    return q.shape[1] // cfg.num_heads
+
+
 def _attention_weights(q: np.ndarray, k: np.ndarray, cfg: EnhancerConfig,
                        rng: np.random.Generator | None = None, training: bool = False):
     """Yield (head slice, row block, exp scores, row sums) per head and query-row block.
 
-    Scores are Q K^T / sqrt(d_k) with d_k the per-head key dim; the scale is
+    Scores are Q K^T / sqrt(d_k) with d_k from ``_head_width``; the scale is
     folded into Q once. The softmax weights are the exp scores divided by
     their row sums, a division left to the caller. In training mode dropout
     hits the raw scores, before the softmax, as the paper reads literally;
     the draws run head by head, row by row, as for one [P, P] draw per head.
     """
-    dh = cfg.head_dim
+    dh = _head_width(q, cfg)
     q = q / math.sqrt(dh)
     for hd in range(cfg.num_heads):
         sl = slice(hd * dh, (hd + 1) * dh)
@@ -197,7 +204,7 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    out = np.empty(x.shape)
+    out = np.empty(v.shape)
     for sl, blk, e, sums in _attention_weights(q, k, cfg, rng, training):
         np.divide(e @ v[:, sl], sums, out=out[blk, sl])
     return linear(out, params.attn_out)
@@ -209,7 +216,7 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    scale = math.sqrt(cfg.head_dim)
+    scale = math.sqrt(_head_width(q, cfg))
     d_out = linear_backward(dy, params.attn_out)
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)

@@ -141,11 +141,13 @@ def cmd_backbone(args) -> int:
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         outputs = list(pool.map(run, clouds))
+    # every map is converted, and so checked, before the first file is written
+    payloads = [pio.panf_payload(path, feat) for feat, (path, _) in zip(outputs, paths)]
     if args.save_params:
         save_params(args.save_params, params)
 
-    for cloud, feat, (path, viz_path) in zip(clouds, outputs, paths):
-        pio.write_feature_map(path, feat)
+    for cloud, feat, payload, (path, viz_path) in zip(clouds, outputs, payloads, paths):
+        pio.write_feature_map(path, payload)
         print(f"{cloud.frame_id}: wrote {path} shape={'x'.join(map(str, feat.shape))}")
         if viz_path:
             pio.write_heatmap_pgm(viz_path, pio.channel_sum(feat))

@@ -21,8 +21,8 @@ from .tensor import DTYPE, check_finite, check_number_fields, check_numbers, req
 
 @dataclass(eq=False)
 class BevFeatureMap:
-    """Dense BEV features [H, W, C] with their ground resolution; a NaN or
-    infinite cell raises when the map is built."""
+    """Dense BEV features [H, W, C] with their ground resolution; a map with
+    no cell, or a NaN or infinite cell, raises when it is built."""
 
     data: np.ndarray
     meters_per_cell: float
@@ -31,6 +31,9 @@ class BevFeatureMap:
         self.data = np.asarray(self.data, dtype=DTYPE)
         if self.data.ndim != 3:
             raise ValueError("BEV feature map must be [H, W, C]")
+        if 0 in self.data.shape[:2]:
+            raise ValueError(f"BEV feature map must have at least one cell, "
+                             f"got shape {list(self.data.shape)}")
         check_finite(self.data, "BEV feature map")
         check_number_fields({"meters_per_cell": self.meters_per_cell})
         require(self.meters_per_cell > 0, "meters_per_cell", "> 0", self.meters_per_cell)
@@ -102,17 +105,12 @@ def _contract(flat: np.ndarray, cells: np.ndarray, coefs: np.ndarray) -> np.ndar
     return (coefs[:, None, :] @ flat.take(cells, axis=0))[:, 0]
 
 
-def _weighted_samples(feat: BevFeatureMap, pts: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """sum_s weights[r, s] * bilinear(feat, pts[r, s]): [R, S, 2], [R, S] -> [R, C]."""
-    return _contract(feat.data.reshape(-1, feat.channels),
-                     *_corner_geometry(feat, pts, weights))
-
-
 def bilinear_sample(feat: BevFeatureMap, p) -> np.ndarray:
-    """Sample [C] features at normalized (x, y); see ``_weighted_samples``."""
-    return _weighted_samples(feat, np.asarray(p, dtype=DTYPE).reshape(1, 1, 2),
-                             np.ones((1, 1)))[0]
+    """Sample [C] features at normalized (x, y): one point of weight 1 through
+    the ``_corner_geometry`` and ``_contract`` that ``mdca`` runs."""
+    cells, coefs = _corner_geometry(feat, np.asarray(p, dtype=DTYPE).reshape(1, 1, 2),
+                                    np.ones((1, 1)))
+    return _contract(feat.data.reshape(-1, feat.channels), cells, coefs)[0]
 
 
 @dataclass(eq=False)

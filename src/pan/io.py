@@ -184,15 +184,30 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
 # PANF feature maps
 # ---------------------------------------------------------------------------
 
-def write_feature_map(path, data: np.ndarray) -> None:
+def panf_payload(path, data: np.ndarray) -> np.ndarray:
+    """``data`` as a PANF payload: C-ordered little-endian float32 [H, W, C].
+
+    A value that float32 cannot hold, NaN included, raises an error that names
+    ``path``, the file the payload is for; nothing is written.
+    """
     data = np.asarray(data)
     if data.ndim != 3:
         raise ValueError("feature map must be [H, W, C]")
-    h, w, c = data.shape
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        payload = np.ascontiguousarray(data, dtype="<f4")
+    bad = ~np.isfinite(payload)
+    if bad.any():
+        raise ValueError(f"{path}: feature map value {float(data[bad][0])!r} "
+                         f"is not a finite float32")
+    return payload
+
+
+def write_feature_map(path, data: np.ndarray) -> None:
+    payload = panf_payload(path, data)  # no copy when ``data`` already is one
     with open(path, "wb") as fh:
         fh.write(PANF_MAGIC)
-        fh.write(struct.pack("<III", h, w, c))
-        fh.write(memoryview(np.ascontiguousarray(data, dtype="<f4")))
+        fh.write(struct.pack("<III", *payload.shape))
+        fh.write(memoryview(payload))
 
 
 def read_feature_map(path) -> np.ndarray:

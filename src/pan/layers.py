@@ -234,7 +234,7 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator, training: bool) -
 
 
 # ---------------------------------------------------------------------------
-# 2-D ops: conv / batch norm / max pool
+# 2-D ops: conv / batch norm
 # ---------------------------------------------------------------------------
 
 def _pad_amount(k: int, padding: str) -> int:
@@ -339,25 +339,6 @@ def batch_norm2d_backward_inference(dy: np.ndarray, stats: BatchNormStats,
                                     gamma: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Input gradient of inference-mode ``batch_norm2d`` (a fixed affine map)."""
     return dy * gamma / np.sqrt(stats.var + eps)
-
-
-def max_pool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
-    """Channelwise window maximum; odd trailing rows/cols padded with -inf."""
-    x = np.asarray(x, dtype=DTYPE)
-    h, w, c = x.shape
-    oh = -(-max(h - window, 0) // stride) + 1
-    ow = -(-max(w - window, 0) // stride) + 1
-    need_h = (oh - 1) * stride + window
-    need_w = (ow - 1) * stride + window
-    if need_h > h or need_w > w:
-        x = np.pad(x, ((0, need_h - h), (0, need_w - w), (0, 0)),
-                   constant_values=-np.inf)
-    out = np.full((oh, ow, c), -np.inf, dtype=DTYPE)
-    for di in range(window):
-        for dj in range(window):
-            out = np.maximum(out, x[di:di + (oh - 1) * stride + 1:stride,
-                                    dj:dj + (ow - 1) * stride + 1:stride])
-    return check_finite(out, "max_pool output")
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,15 @@ class Box3D:
         if min(self.w, self.l, self.h) <= 0:
             name = next(n for n in ("w", "l", "h") if getattr(self, n) <= 0)
             raise field_error(name, "positive", getattr(self, name))
+        volume = float(self.w) * self.l * self.h
+        if volume == 0.0 or volume == math.inf:
+            # the sizes are positive, so the product left the float range:
+            # name the smallest size for an underflow, the largest for an overflow
+            low = volume == 0.0
+            name = (min if low else max)(("w", "l", "h"), key=lambda n: getattr(self, n))
+            rule = ("large enough for a positive box volume" if low
+                    else "small enough for a finite box volume")
+            raise field_error(name, rule, getattr(self, name))
         if self.class_name not in CLASS_NAMES:
             raise field_error("class", f"one of {', '.join(CLASS_NAMES)}", self.class_name)
         if self.attribute is not None and not isinstance(self.attribute, str):

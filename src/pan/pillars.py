@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, linear, relu
-from .tensor import DTYPE, check_number_fields, check_numbers, require
+from .tensor import DTYPE, check_number_fields, check_numbers, field_error, require
 
 
 class RadarPoint(NamedTuple):
@@ -89,6 +89,8 @@ class PillarConfig:
     """BEV grid geometry and pillar encoder dims.
 
     Defaults: a 128 x 128 grid covering +-50 m (pillar_size 0.78125 m).
+    ``out_channels`` sizes new encoder weights (``init_pfn``); ``pillarize``
+    takes its width from the weights it is given.
     """
 
     x_min: float = -50.0
@@ -180,7 +182,16 @@ class TokenBatch:
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=DTYPE)
-        self.coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 2)
+        coords = np.asarray(self.coords)
+        if coords.dtype.kind not in "iu":
+            # integer arrays, as ``gather`` builds, pass as they are; others
+            # must hold whole numbers that int64 can hold
+            coords = coords.astype(DTYPE)
+            bad = ~((np.floor(coords) == coords) & (np.abs(coords) < 2.0 ** 63))
+            if bad.any():
+                raise field_error("coords", "whole numbers in the int64 range",
+                                  float(coords[bad][0]))
+        self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         if self.tokens.shape[0] != self.coords.shape[0]:
             raise ValueError("tokens and coords disagree on pillar count")
 
@@ -245,7 +256,7 @@ def pillarize(pc: PointCloud, cfg: PillarConfig, pfn: PfnParams,
     mask = np.zeros((cfg.height, w), dtype=bool)
     pts, flat = bin_points(pc, cfg)
     if flat.size == 0:
-        return PillarGrid(mask, np.zeros((0, cfg.out_channels)))
+        return PillarGrid(mask, np.zeros((0, pfn.lin.out_dim)))
 
     i, j = np.divmod(flat, w)
     dist2 = ((pts[:, X] - (cfg.x_min + (j + 0.5) * size)) ** 2

@@ -24,11 +24,11 @@ from pan.backbone import (
     self_attention,
     self_attention_input_grad,
 )
-from pan.layers import BatchNormStats, batch_norm2d, conv2d, max_pool2d, relu, softmax_rows
+from pan.layers import BatchNormStats, batch_norm2d, conv2d, relu, softmax_rows
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, pillarize, scatter
 from pan.tensor import Rng
 
-from test_layers import conv2d_oracle, max_pool_oracle
+from test_layers import conv2d_oracle, max_pool2d, max_pool_oracle
 
 
 def attention_oracle(x, params, cfg):
@@ -60,7 +60,7 @@ def attention_unblocked(x, params, cfg, rng=None, training=False):
     q = x @ params.q.weight + params.q.bias
     k = x @ params.k.weight + params.k.bias
     v = x @ params.v.weight + params.v.bias
-    dh = cfg.head_dim
+    dh = q.shape[1] // cfg.num_heads
     drop = training and cfg.dropout_p > 0
 
     def dropped(a):
@@ -92,9 +92,10 @@ def _stacked_weights(x, params, cfg):
     """The post-softmax weights of ``backbone._attention_weights`` as [heads, P, P]."""
     q = x @ params.q.weight + params.q.bias
     k = x @ params.k.weight + params.k.bias
+    dh = q.shape[1] // cfg.num_heads
     weights = np.full((cfg.num_heads, len(x), len(x)), np.nan)
     for sl, blk, e, sums in backbone._attention_weights(q, k, cfg):
-        weights[sl.start // cfg.head_dim, blk] = e / sums
+        weights[sl.start // dh, blk] = e / sums
     return weights
 
 
@@ -254,6 +255,43 @@ class TestSelfAttention:
         x = Rng(30).normal(size=(5, 7)) * 30
         e = np.exp(x - x.max(axis=1, keepdims=True))
         assert np.array_equal(softmax_rows(x), e / e.sum(axis=1, keepdims=True))
+
+
+class TestWidthsFromWeights:
+    """Attention reads its head width from the Q weights, not from ``embed_dim``."""
+
+    @given(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_another_embed_dim_gives_the_same_bits(self, heads, per_head, other, p_count,
+                                                   seed):
+        width = heads * per_head
+        cfg = EnhancerConfig(embed_dim=width, num_heads=heads, dropout_p=0.0)
+        stale = EnhancerConfig(embed_dim=heads * (per_head + other), num_heads=heads,
+                               dropout_p=0.0)
+        params = init_enhancer(3, cfg, Rng(seed))
+        x = Rng(seed + 1).normal(size=(p_count, width))
+        dy = Rng(seed + 2).normal(size=(p_count, width))
+        assert np.array_equal(self_attention(x, params, stale), self_attention(x, params, cfg))
+        assert np.array_equal(self_attention_input_grad(x, params, stale, dy),
+                              self_attention_input_grad(x, params, cfg, dy))
+        if per_head > 1:  # a smaller embed_dim that num_heads still divides
+            small = EnhancerConfig(embed_dim=heads, num_heads=heads, dropout_p=0.0)
+            assert np.array_equal(self_attention(x, params, small),
+                                  self_attention(x, params, cfg))
+
+    @pytest.mark.parametrize("width, heads", [(16, 3), (8, 3), (4, 8), (6, 4)])
+    def test_heads_not_dividing_the_weights_rejected_by_field(self, width, heads):
+        params = init_enhancer(3, EnhancerConfig(embed_dim=width, num_heads=1), Rng(0))
+        cfg = EnhancerConfig(embed_dim=heads, num_heads=heads, dropout_p=0.0)
+        x = Rng(1).normal(size=(5, width))
+        message = (f"field 'num_heads' must be a divisor of the attention width {width}, "
+                   f"got {heads}")
+        for call in (lambda: self_attention(x, params, cfg),
+                     lambda: self_attention_input_grad(x, params, cfg, x)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestEnhance:
@@ -553,6 +591,16 @@ class TestBackbone:
         assert out.shape == (8, 8, 12)
         assert np.allclose(out, 0.0, atol=1e-12)
 
+    def test_empty_cloud_takes_channels_from_the_weights(self):
+        # params for one out_channels and a config for another: an empty frame
+        # runs, as a one-point frame does, with the weights' width
+        pcfg, cfg, params = self._setup()
+        stale = small_pillar_cfg(out_channels=pcfg.out_channels + 3)
+        for conv in (True, False):
+            ec = EnhancerConfig(embed_dim=8, dropout_p=0.0, conv_enabled=conv)
+            want = pan_backbone(PointCloud("f", []), params, pcfg, ec)
+            assert np.array_equal(pan_backbone(PointCloud("f", []), params, stale, ec), want)
+
     def test_shape_law_with_conv(self):
         pcfg, cfg, params = self._setup()
         pts = [RadarPoint(x=1.0, y=1.0, z=0.0, vx=1.0, vy=0.0, rcs=1.0)]
@@ -812,4 +860,6 @@ class TestConfigValidation:
 
     def test_numpy_integers_accepted(self):
         cfg = EnhancerConfig(embed_dim=np.int64(8), num_heads=np.int64(2))
-        assert cfg.head_dim == 4
+        params = init_enhancer(3, cfg, Rng(0))
+        assert params.q.weight.shape == (8, 8)
+        assert self_attention(Rng(1).normal(size=(5, 8)), params, cfg).shape == (5, 8)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pan.cli import main
@@ -247,6 +248,46 @@ class TestBackbone:
         assert err == f"error: --threads must be at least 1, got {threads}\n"
         assert not list(tmp_path.glob("o*.panf"))
 
+    def test_params_overflowing_float32_write_nothing(self, tmp_path, capsys, scene_files):
+        # a conv2 bias of 1e39 is finite in float64 but inf in the float32 file
+        points, _ = scene_files
+        cfg = small_config(tmp_path)
+        saved = tmp_path / "saved.json"
+        code, _, _ = run(["backbone", "--points", str(points), "--config", str(cfg),
+                          "--save-params", str(saved), "--out", str(tmp_path / "a.panf")],
+                         capsys)
+        assert code == 0
+        records = json.loads(saved.read_text())
+        next(r for r in records if r["name"] == "conv2.bias")["values"][0] = 1e39
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(records))
+        again = tmp_path / "again.json"
+        code, out, err = run(["backbone", "--points", str(points), "--config", str(cfg),
+                              "--params", str(big), "--save-params", str(again),
+                              "--out", str(tmp_path / "b.panf")], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: {tmp_path / 'b_frame_000.panf'}: feature map value 1e+39 "
+                       "is not a finite float32\n")
+        assert not list(tmp_path.glob("b*.panf")) and not again.exists()
+
+    def test_non_finite_later_frame_writes_no_earlier_map(self, tmp_path, capsys,
+                                                           scene_files, monkeypatch):
+        # every frame's map is converted before the first file is written
+        import pan.cli
+
+        def backbone(cloud, *args, **kwargs):
+            return np.full((2, 2, 1), math.nan if cloud.frame_id == "frame_001" else 1.0)
+
+        monkeypatch.setattr(pan.cli, "pan_backbone", backbone)
+        points, _ = scene_files
+        capsys.readouterr()
+        code, out, err = run(["backbone", "--points", str(points),
+                              "--out", str(tmp_path / "feat.panf")], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: {tmp_path / 'feat_frame_001.panf'}: feature map value nan "
+                       "is not a finite float32\n")
+        assert not list(tmp_path.glob("feat*.panf"))
+
     def test_unknown_config_key_fails(self, tmp_path, capsys, scene_files):
         points, _ = scene_files
         bad = tmp_path / "bad.json"
@@ -428,6 +469,23 @@ class TestEval:
         assert code == 1 and "NDS" not in out
         assert err == "error: field 'range_filter[0]' is not finite\n"
 
+
+    @pytest.mark.parametrize("size, message", [
+        (1e-110, "field 'w' must be large enough for a positive box volume, got 1e-110"),
+        (1e200, "field 'w' must be small enough for a finite box volume, got 1e+200"),
+    ], ids=["underflow", "overflow"])
+    def test_box_volume_outside_float_range_names_size(self, tmp_path, capsys, size,
+                                                       message):
+        # a matched pair reaches the scale error, so the reader refuses the box
+        boxes = tmp_path / "boxes.jsonl"
+        box = {"frame": "f", "class": "car", "cx": 1.0, "cy": 2.0, "cz": 0.0, "w": size,
+               "l": size, "h": size, "yaw": 0.0, "vx": 0.0, "vy": 0.0, "attr": None,
+               "condition": "day"}
+        boxes.write_text(json.dumps({**box, "role": "gt"}) + "\n"
+                         + json.dumps({**box, "role": "pred", "score": 0.5}) + "\n")
+        code, out, err = run(["eval", "--boxes", str(boxes)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {boxes}:1: {message}\n"
 
     def test_open_band_report_writes_null(self, tmp_path, capsys, scene_files):
         _, boxes = scene_files

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pan.fusion
 from pan.fusion import (BevFeatureMap, McdaParams, OccupancyMap, bilinear_sample, init_mcda,
                         mdca, occupancy_head)
+from pan.io import read_feature_map, write_feature_map
 from pan.layers import LinearParams
 from pan.tensor import Rng
 
@@ -113,6 +114,16 @@ class TestOccupancyHead:
                                match="^non-finite values in BEV feature map$"):
                 BevFeatureMap(data=data, meters_per_cell=1.0)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (3, 0, 2), (0, 0, 1)])
+    def test_map_without_cells_raises(self, tmp_path, shape):
+        # a PANF file may hold such a map, and sampling it has no cell to read
+        path = tmp_path / "empty.panf"
+        write_feature_map(path, np.zeros(shape))
+        with pytest.raises(ValueError) as info:
+            BevFeatureMap(data=read_feature_map(path), meters_per_cell=1.0)
+        assert str(info.value) == ("BEV feature map must have at least one cell, "
+                                   f"got shape {list(shape)}")
+
     def test_finite_map_overflowing_logit_raises(self):
         feat = BevFeatureMap(data=np.full((2, 3, 1), 1e308), meters_per_cell=1.0)
         params = LinearParams(weight=np.full((1, 1), 10.0), bias=np.zeros(1))
@@ -186,6 +197,13 @@ class TestBilinearSample:
             bilinear_sample(feat, (0.5, math.nan))
 
 
+def weighted_samples(feat, pts, weights):
+    """sum_s weights[r, s] * bilinear(feat, pts[r, s]): [R, S, 2], [R, S] -> [R, C],
+    composed from the sampling helpers as ``mdca`` composes them."""
+    return pan.fusion._contract(feat.data.reshape(-1, feat.channels),
+                                *pan.fusion._corner_geometry(feat, pts, weights))
+
+
 @st.composite
 def weighted_sample_cases(draw):
     """A map (1x1 and 1xW included) and R x S weighted points: cell centres,
@@ -212,10 +230,10 @@ class TestWeightedSamples:
     @settings(max_examples=150, deadline=None)
     def test_each_row_equals_its_call_alone(self, case):
         feat, pts, weights = case
-        batched = pan.fusion._weighted_samples(feat, pts, weights)
+        batched = weighted_samples(feat, pts, weights)
         assert batched.shape == (pts.shape[0], feat.channels)
         for r in range(pts.shape[0]):
-            alone = pan.fusion._weighted_samples(feat, pts[r:r + 1], weights[r:r + 1])
+            alone = weighted_samples(feat, pts[r:r + 1], weights[r:r + 1])
             assert np.array_equal(batched[r], alone[0])
 
     @given(weighted_sample_cases())
@@ -223,7 +241,7 @@ class TestWeightedSamples:
     def test_bilinear_sample_is_the_one_point_row(self, case):
         feat, pts, _ = case
         rows = pts[:, 0]
-        batched = pan.fusion._weighted_samples(feat, rows[:, None], np.ones((len(rows), 1)))
+        batched = weighted_samples(feat, rows[:, None], np.ones((len(rows), 1)))
         for r, p in enumerate(rows):
             assert np.array_equal(batched[r], bilinear_sample(feat, p))
             assert np.allclose(batched[r], bilinear_oracle(feat, p), atol=1e-12)

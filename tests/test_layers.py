@@ -22,7 +22,6 @@ from pan.layers import (
     init_linear,
     layer_norm,
     linear,
-    max_pool2d,
     relu,
     softmax_rows,
 )
@@ -61,6 +60,29 @@ def max_pool_oracle(x, window=2, stride=2):
             for d in range(c):
                 out[i, j, d] = x[i * stride:i * stride + window,
                                  j * stride:j * stride + window, d].max()
+    return out
+
+
+def max_pool2d(x, window=2, stride=2):
+    """Channelwise window maximum, the dense pooling ``conv_refine`` reproduces.
+
+    Odd trailing rows/cols are padded with -inf, so the output is ceil-sized;
+    ``max_pool_oracle`` floors them instead.
+    """
+    x = np.asarray(x, dtype=float)
+    h, w, c = x.shape
+    oh = -(-max(h - window, 0) // stride) + 1
+    ow = -(-max(w - window, 0) // stride) + 1
+    need_h = (oh - 1) * stride + window
+    need_w = (ow - 1) * stride + window
+    if need_h > h or need_w > w:
+        x = np.pad(x, ((0, need_h - h), (0, need_w - w), (0, 0)),
+                   constant_values=-np.inf)
+    out = np.full((oh, ow, c), -np.inf)
+    for di in range(window):
+        for dj in range(window):
+            out = np.maximum(out, x[di:di + (oh - 1) * stride + 1:stride,
+                                    dj:dj + (ow - 1) * stride + 1:stride])
     return out
 
 

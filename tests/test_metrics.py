@@ -128,13 +128,30 @@ class TestMatchFrame:
         with pytest.raises(ValueError, match=rf"field '{key}' is not finite"):
             Box3D(**fields, class_name="car")
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((1e-110, 1e-110, 1e-110), "field 'w' must be large enough for a positive box "
+                                   "volume, got 1e-110"),
+        ((1.0, 1e-200, 1e-150), "field 'l' must be large enough for a positive box "
+                                "volume, got 1e-200"),
+        ((1e200, 1e200, 1e200), "field 'w' must be small enough for a finite box "
+                                "volume, got 1e+200"),
+        ((1e10, 1.0, 1e300), "field 'h' must be small enough for a finite box "
+                             "volume, got 1e+300"),
+    ], ids=["underflow", "underflow-smallest", "overflow", "overflow-largest"])
+    def test_volume_outside_float_range_rejected_by_size(self, sizes, message):
+        # the scale error divides by the volume, so it must be a positive finite float
+        w, l, h = sizes
+        with pytest.raises(ValueError) as info:
+            car(0, 0, w=w, l=l, h=h)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value, shown", [("1.5", '"1.5"'), (None, "null")])
     def test_non_number_field_rejected_by_name(self, value, shown):
         with pytest.raises(ValueError, match=rf"field 'w' must be a number, got {shown}$"):
             car(0, 0, w=value)
 
     def test_finite_fields_whose_sum_overflows_accepted(self):
-        box = car(1e308, 1e308, w=1e308)
+        box = car(1e308, 1e308, w=1e308, l=1e-300)  # l keeps the volume finite
         assert box.x == box.y == 1e308
 
     def test_distance_tie_takes_lower_gt_index(self):

@@ -330,6 +330,20 @@ class TestGatherScatter:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("coords, shown", [
+        ([[1.7, 2.2]], "1.7"),
+        ([[0.0, 0.0], [1.0, -0.5]], "-0.5"),
+        ([[math.nan, 1.0]], "NaN"),
+        ([[1.0, math.inf]], "Infinity"),
+        ([[2.0 ** 63, 0.0]], "9.223372036854776e+18"),
+    ])
+    def test_fractional_coords_rejected(self, coords, shown):
+        # a cast to int64 would put a token at [[1.7, 2.2]] in cell [[1, 2]]
+        with pytest.raises(ValueError) as info:
+            TokenBatch(tokens=np.ones((len(coords), 1)), coords=coords)
+        assert str(info.value) == ("field 'coords' must be whole numbers in the int64 "
+                                   f"range, got {shown}")
+
     def test_scatter_out_of_range(self):
         tb = TokenBatch(tokens=np.ones((1, 1)), coords=np.array([[4, 0]]))
         with pytest.raises(IndexError):

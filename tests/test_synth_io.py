@@ -455,6 +455,10 @@ class TestJsonl:
         ({"class": '"tank"'}, "field 'class' must be one of car, truck, bus, trailer, "
                               "construction_vehicle, pedestrian, motorcycle, bicycle, "
                               'traffic_cone, barrier, got "tank"'),
+        ({"w": "1e-110", "l": "1e-110", "h": "1e-110"},
+         "field 'w' must be large enough for a positive box volume, got 1e-110"),
+        ({"l": "1e200", "h": "1e150"},
+         "field 'l' must be small enough for a finite box volume, got 1e+200"),
     ])
     def test_boxes_invalid_value_names_field(self, tmp_path, fields, message):
         path, lines = self._boxes_file(tmp_path, preds=True)
@@ -675,6 +679,18 @@ class TestFeatureMapFormat:
         assert int.from_bytes(raw[4:8], "little") == 4
         assert int.from_bytes(raw[8:12], "little") == 6
         assert int.from_bytes(raw[12:16], "little") == 3
+
+    @pytest.mark.parametrize("value, shown", [(1e39, "1e+39"), (-1e39, "-1e+39"),
+                                              (math.nan, "nan"), (math.inf, "inf")])
+    def test_panf_refuses_values_float32_cannot_hold(self, tmp_path, value, shown):
+        # the file holds float32, so the cast values are what is checked
+        data = np.ones((2, 3, 2))
+        data[1, 2, 0] = value
+        path = tmp_path / "big.panf"
+        with pytest.raises(ValueError) as info:
+            write_feature_map(path, data)
+        assert str(info.value) == f"{path}: feature map value {shown} is not a finite float32"
+        assert not path.exists()
 
     def test_panf_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.panf"
