@@ -1,45 +1,1 @@
 """Sparse radar pillar-attention backbone and its evaluation stack."""
-
-from .backbone import (
-    BackboneParams,
-    EnhancerConfig,
-    EnhancerParams,
-    WorkReport,
-    conv_refine,
-    count_work,
-    enhance,
-    init_backbone,
-    init_enhancer,
-    load_params,
-    pan_backbone,
-    save_params,
-    self_attention,
-)
-from .fusion import BevFeatureMap, McdaParams, OccupancyMap, bilinear_sample, init_mcda, mdca, occupancy_head
-from .layers import LinearParams, grad_check
-from .metrics import (
-    Box3D,
-    EvalConfig,
-    FrameAnnotations,
-    MetricsReport,
-    average_precision,
-    evaluate,
-    match_frame,
-    nds,
-    tp_errors,
-)
-from .pillars import (
-    PillarConfig,
-    PillarGrid,
-    PointCloud,
-    RadarPoint,
-    TokenBatch,
-    gather,
-    pillarize,
-    scatter,
-)
-from .safety import SafetyInput, braking_distance, reaction_distance, total_stopping_distance
-from .synth import PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
-from .tensor import Rng
-
-__version__ = "0.1.0"

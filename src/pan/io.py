@@ -242,9 +242,14 @@ def channel_sum(data: np.ndarray) -> np.ndarray:
 def write_heatmap_pgm(path, values: np.ndarray) -> None:
     """8-bit P5 image of ``values`` [H, W], normalized by the sample max.
 
-    Negative cells render black; an all-nonpositive map renders black.
+    Negative cells render black; an all-nonpositive map renders black. A NaN
+    or infinite value raises an error that names ``path``; nothing is written.
     """
-    values = np.maximum(np.asarray(values, dtype=DTYPE), 0.0)
+    values = np.asarray(values, dtype=DTYPE)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{path}: heatmap value {float(values[bad][0])!r} is not finite")
+    values = np.maximum(values, 0.0)
     peak = values.max() if values.size else 0.0
     if peak > 0:
         img = np.round(values / peak * 255.0)

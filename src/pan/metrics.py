@@ -50,6 +50,12 @@ def check_condition(condition) -> None:
         raise field_error("condition", f"one of {', '.join(CONDITIONS)}", condition)
 
 
+def check_class(class_name) -> None:
+    """The one rule for a class name, named by its boxes.jsonl key: one of ``CLASS_NAMES``."""
+    if class_name not in CLASS_NAMES:
+        raise field_error("class", f"one of {', '.join(CLASS_NAMES)}", class_name)
+
+
 def _normalize_yaw(yaw: float) -> float:
     """Wrap into (-pi, pi]."""
     wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
@@ -92,8 +98,8 @@ class Box3D:
             rule = ("large enough for a positive box volume" if low
                     else "small enough for a finite box volume")
             raise field_error(name, rule, getattr(self, name))
-        if self.class_name not in CLASS_NAMES:
-            raise field_error("class", f"one of {', '.join(CLASS_NAMES)}", self.class_name)
+        if self.class_name not in CLASS_NAMES:  # as for the numbers: a valid box makes no call
+            check_class(self.class_name)
         if self.attribute is not None and not isinstance(self.attribute, str):
             raise field_error("attr", "a string or null", self.attribute)
         score = self.score
@@ -154,14 +160,21 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], threshold_m: float):
     Predictions in descending score order each take the nearest unmatched
     ground truth within ``threshold_m`` BEV center distance (distance ties
     go to the lower GT index). Returns (matches, unmatched_pred,
-    unmatched_gt) with matches as (pred_idx, gt_idx) pairs.
+    unmatched_gt) with matches as (pred_idx, gt_idx) pairs. ``threshold_m``
+    is a finite number > 0.
     """
+    _check_threshold(threshold_m)
     order, per_threshold = _match(gt, pred, (threshold_m,))
     matches = per_threshold[threshold_m]
     matched_pred = {pi for pi, _ in matches}
     unmatched_pred = [pi for pi in order if pi not in matched_pred]
     unmatched_gt = sorted(set(range(len(gt))) - {gi for _, gi in matches})
     return matches, unmatched_pred, unmatched_gt
+
+
+def _check_threshold(threshold_m) -> None:
+    check_number_fields({"threshold_m": threshold_m})
+    require(threshold_m > 0, "threshold_m", "> 0", threshold_m)
 
 
 def _match(gt: list[Box3D], pred: list[Box3D], thresholds) -> tuple[list[int], dict]:
@@ -240,8 +253,11 @@ def average_precision(frames: list[FrameAnnotations], class_name: str,
     """101-point interpolated AP for one class and distance threshold.
 
     Returns None when the class has no ground truth (undefined, excluded
-    from mAP); 0.0 when ground truth exists but nothing scores.
+    from mAP); 0.0 when ground truth exists but nothing scores. ``class_name``
+    follows the ``Box3D`` class rule and ``threshold_m`` the ``match_frame`` one.
     """
+    check_class(class_name)
+    _check_threshold(threshold_m)
     return _match_class(_by_class(frames).get(class_name, []), (threshold_m,), cfg)[threshold_m][0]
 
 
@@ -253,6 +269,11 @@ def _scale_iou(a: Box3D, b: Box3D) -> float:
     """3-D IoU after aligning centers and yaw (size error only)."""
     inter = min(a.w, b.w) * min(a.l, b.l) * min(a.h, b.h)
     union = a.w * a.l * a.h + b.w * b.l * b.h - inter
+    if union == math.inf:
+        # each volume is finite but their sum is not: the same ratio on halved
+        # volumes, where halving is exact
+        union = a.w * a.l * a.h / 2 + b.w * b.l * b.h / 2 - inter / 2
+        return inter / 2 / union
     return inter / union
 
 
@@ -265,8 +286,10 @@ def tp_errors(pairs: list[tuple[Box3D, Box3D]], class_name: str) -> dict:
     """Mean errors over (pred, gt) matches from the TP threshold.
 
     Keys limited to the metrics defined for the class; by convention every
-    applicable error is 1.0 when the class matched nothing.
+    applicable error is 1.0 when the class matched nothing. ``class_name``
+    follows the ``Box3D`` class rule.
     """
+    check_class(class_name)
     excluded = _EXCLUDED.get(class_name, set())
     keys = [m for m in TP_METRICS if m not in excluded]
     if not pairs:
@@ -319,13 +342,17 @@ class MetricsReport:
     n_frames: int
     n_gt: int
     n_pred: int
-    empty: bool
-    ap: dict            # class -> {threshold -> AP}
-    class_tp: dict      # class -> {metric -> error}
-    mean_ap: float | None
-    tp: dict            # metric -> mean over classes
-    nds: float | None
-    match_counts: dict  # threshold -> matched pairs across classes/frames
+    ap: dict = field(default_factory=dict)            # class -> {threshold -> AP}
+    class_tp: dict = field(default_factory=dict)      # class -> {metric -> error}
+    mean_ap: float | None = None
+    tp: dict = field(default_factory=dict)            # metric -> mean over classes
+    nds: float | None = None
+    match_counts: dict = field(default_factory=dict)  # threshold -> matched pairs, all classes
+
+    @property
+    def empty(self) -> bool:
+        """No class in the split has ground truth, so no metric is defined."""
+        return not self.ap
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,11 +398,7 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     classes_present = [c for c in CLASS_NAMES
                        if c in groups and any(gt for gt, _ in groups[c])]
     if not classes_present:
-        return MetricsReport(
-            condition=condition or "all", range_band=band, n_frames=len(selected),
-            n_gt=n_gt, n_pred=n_pred, empty=True, ap={}, class_tp={},
-            mean_ap=None, tp={}, nds=None, match_counts={},
-        )
+        return MetricsReport(condition or "all", band, len(selected), n_gt, n_pred)
 
     matched = {cls: _match_class(groups[cls], cfg.match_thresholds_m, cfg)
                for cls in classes_present}
@@ -392,7 +415,7 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     score = nds(mean_ap, [tp_agg[m] for m in TP_METRICS])
     return MetricsReport(
         condition=condition or "all", range_band=band, n_frames=len(selected),
-        n_gt=n_gt, n_pred=n_pred, empty=False, ap=ap, class_tp=class_tp,
+        n_gt=n_gt, n_pred=n_pred, ap=ap, class_tp=class_tp,
         mean_ap=mean_ap, tp=tp_agg, nds=score, match_counts=match_counts,
     )
 

@@ -496,6 +496,21 @@ class TestEval:
         assert "all 0-infm" in out
         assert json.loads(report_path.read_text())["range_band"] == [0.0, None]
 
+    def test_identical_huge_boxes_score_perfectly(self, tmp_path, capsys):
+        # each volume is 1.25e308, a finite float; the pair's volume sum is not
+        box = {"frame": "f", "class": "car", "cx": 1.0, "cy": 2.0, "cz": 0.0, "w": 5e102,
+               "l": 5e102, "h": 5e102, "yaw": 0.0, "vx": 0.0, "vy": 0.0,
+               "attr": "vehicle.parked", "condition": "day"}
+        boxes, report_path = tmp_path / "huge.jsonl", tmp_path / "huge.json"
+        boxes.write_text(json.dumps({**box, "role": "gt"}) + "\n"
+                         + json.dumps({**box, "role": "pred", "score": 0.5}) + "\n")
+        code, _, err = run(["eval", "--boxes", str(boxes), "--report", str(report_path)],
+                           capsys)
+        assert code == 0 and err == ""
+        report = json.loads(report_path.read_text())
+        assert report["mASE"] == 0.0
+        assert report["NDS"] == pytest.approx(1.0, abs=1e-12)
+
     def test_no_report_file_on_error(self, tmp_path, capsys, scene_files, monkeypatch):
         # a value JSON cannot hold fails the serialisation before the file is opened
         import pan.metrics

@@ -21,6 +21,7 @@ from pan.metrics import (
     Box3D,
     EvalConfig,
     FrameAnnotations,
+    MetricsReport,
     average_precision,
     evaluate,
     format_report_table,
@@ -75,6 +76,15 @@ def per_threshold_greedy(gt, pred, threshold):
 LATTICE = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
     lambda ij: (ij[0] / 2, ij[1] / 2))
 TIED_SCORES = st.sampled_from([None, 0.0, 0.5, 0.7, 0.9])
+
+
+UNKNOWN_CLASS = ("field 'class' must be one of car, truck, bus, trailer, construction_vehicle, "
+                 'pedestrian, motorcycle, bicycle, traffic_cone, barrier, got "cars"')
+
+BAD_THRESHOLDS = [
+    (math.nan, "field 'threshold_m' is not finite"),
+    (-1.0, "field 'threshold_m' must be > 0, got -1.0"),
+]
 
 
 class TestMatchFrame:
@@ -154,6 +164,12 @@ class TestMatchFrame:
         box = car(1e308, 1e308, w=1e308, l=1e-300)  # l keeps the volume finite
         assert box.x == box.y == 1e308
 
+    @pytest.mark.parametrize("threshold, message", BAD_THRESHOLDS)
+    def test_bad_threshold_rejected_by_field(self, threshold, message):
+        with pytest.raises(ValueError) as info:
+            match_frame([car(0, 0)], [car(0, 0, score=0.9)], threshold)
+        assert str(info.value) == message
+
     def test_distance_tie_takes_lower_gt_index(self):
         gt = [car(0, 1), car(0, -1)]
         pred = [car(0, 0, score=0.5)]
@@ -205,6 +221,19 @@ class TestAveragePrecision:
     def test_no_gt_is_undefined(self):
         frames = [FrameAnnotations("f", "day", gt=[], pred=[car(0, 0, score=0.9)])]
         assert average_precision(frames, "car", 2.0, self.CFG) is None
+
+    def test_unknown_class_rejected_by_the_box_rule(self):
+        frames = [FrameAnnotations("f", gt=[car(0, 0)], pred=[car(0, 0, score=0.9)])]
+        with pytest.raises(ValueError) as info:
+            average_precision(frames, "cars", 2.0, self.CFG)
+        assert str(info.value) == UNKNOWN_CLASS
+
+    @pytest.mark.parametrize("threshold, message", BAD_THRESHOLDS)
+    def test_bad_threshold_rejected_by_field(self, threshold, message):
+        frames = [FrameAnnotations("f", gt=[car(0, 0)], pred=[car(0, 0, score=0.9)])]
+        with pytest.raises(ValueError) as info:
+            average_precision(frames, "car", threshold, self.CFG)
+        assert str(info.value) == message
 
     def test_hand_integrated_staircase(self):
         # 2 GT, 4 preds: TP(0.9), FP(0.8), TP(0.7), FP(0.6)
@@ -263,6 +292,9 @@ class TestAveragePrecision:
         assert average_precision(frames2, "car", 2.0, self.CFG) <= base + 1e-12
 
 
+SIZES = st.floats(1e-100, 1e100)
+
+
 class TestTpErrors:
     def test_identical_pair_all_zero(self):
         g = car(1, 2, yaw=0.3, vx=1.0, vy=-1.0)
@@ -291,6 +323,30 @@ class TestTpErrors:
     def test_no_matches_is_one_by_convention(self):
         errs = tp_errors([], "car")
         assert all(v == 1.0 for v in errs.values())
+
+    def test_unknown_class_rejected_by_the_box_rule(self):
+        with pytest.raises(ValueError) as info:
+            tp_errors([(car(0, 0, score=0.9), car(0, 0))], "cars")
+        assert str(info.value) == UNKNOWN_CLASS
+
+    def test_identical_huge_boxes_have_no_scale_error(self):
+        # each volume is 1.25e308, a finite float, but their sum is not
+        box = car(0, 0, w=5e102, l=5e102, h=5e102)
+        assert tp_errors([(box, box)], "car")["ase"] == 0.0
+
+    def test_huge_boxes_scale_error(self):
+        big, smaller = car(0, 0, w=5e102, l=5e102, h=5e102), car(0, 0, w=4e102, l=5e102, h=5e102)
+        for pair in ((big, smaller), (smaller, big)):
+            assert tp_errors([pair], "car")["ase"] == pytest.approx(0.2, abs=1e-15)
+
+    @given(st.tuples(SIZES, SIZES, SIZES), st.tuples(SIZES, SIZES, SIZES))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_error_of_ordinary_boxes_is_the_iou_expression(self, a_sizes, b_sizes):
+        a = car(0, 0, w=a_sizes[0], l=a_sizes[1], h=a_sizes[2])
+        b = car(0, 0, w=b_sizes[0], l=b_sizes[1], h=b_sizes[2], score=0.5)
+        inter = min(a.w, b.w) * min(a.l, b.l) * min(a.h, b.h)
+        union = a.w * a.l * a.h + b.w * b.l * b.h - inter
+        assert tp_errors([(b, a)], "car")["ase"] == 1.0 - inter / union
 
     def test_barrier_yaw_period_pi(self):
         g = Box3D(x=0, y=0, z=0.5, w=2.5, l=1.0, h=1.0, yaw=0.0, vx=0, vy=0,
@@ -421,6 +477,14 @@ class TestEvaluate:
         assert report.empty
         assert report.nds is None
         assert "(empty split)" in format_report_table(report)
+
+    def test_empty_is_read_off_the_report(self):
+        day = FrameAnnotations("d", "day", gt=[car(5, 0)], pred=[])
+        report = MetricsReport("night", (0.0, 50.0), 0, 0, 0)
+        assert report == evaluate([day], self.CFG, condition="night")
+        assert report.empty and report.to_json_dict()["empty"] is True
+        full = evaluate([day], self.CFG)
+        assert not full.empty and full.to_json_dict()["empty"] is False
 
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValueError):

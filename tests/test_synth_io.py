@@ -733,6 +733,14 @@ class TestFeatureMapFormat:
         raw = path.read_bytes()
         assert raw.endswith(bytes(4))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_pgm_refuses_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "viz.pgm"
+        with pytest.raises(ValueError) as info:
+            write_heatmap_pgm(path, np.array([[1.0, value]]))
+        assert str(info.value) == f"{path}: heatmap value {value!r} is not finite"
+        assert not path.exists()
+
     def test_channel_sum(self):
         data = np.arange(24, dtype=float).reshape(2, 3, 4)
         assert np.array_equal(channel_sum(data), data.sum(axis=2))

@@ -38,6 +38,22 @@ class TestRng:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
+class TestImportScope:
+    """The package re-exports nothing, so importing a module loads only what it uses."""
+
+    @pytest.mark.parametrize("module, loaded", [
+        ("pan", ["pan"]),
+        ("pan.io", ["pan", "pan.io", "pan.layers", "pan.metrics", "pan.pillars", "pan.tensor"]),
+        ("pan.fusion", ["pan", "pan.fusion", "pan.layers", "pan.tensor"]),
+    ])
+    def test_fresh_import_loads_only_its_dependencies(self, module, loaded):
+        code = (f"import sys, {module}; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pan'))")
+        out = subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                             capture_output=True, text=True).stdout
+        assert out.split() == loaded
+
+
 def _backbone():
     cfg = PillarConfig(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0, pillar_size=1.0,
                        out_channels=3)
