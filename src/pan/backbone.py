@@ -12,7 +12,8 @@ channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
 background row, pooling only the pooled cells with such a child, and conv2
 multiplies only those pooled cells, while the constant background costs one
-term per output cell. The result equals the dense composition.
+term per output cell. The result equals the dense composition. Both convs
+run through the library's one convolution, ``layers._tap_scatter``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .layers import (
     BatchNormStats,
     LinearParams,
     _exp_rows,
+    _sparse_conv,
+    _tap_scatter,
     batch_norm2d,
     dropout,
     gelu,
@@ -277,71 +280,6 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
 # ---------------------------------------------------------------------------
 # convolution refinement and the full backbone
 # ---------------------------------------------------------------------------
-
-def _half_widths(kernel: np.ndarray) -> tuple[int, int]:
-    kh, kw = kernel.shape[:2]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("conv kernel dims must be odd")
-    return kh // 2, kw // 2
-
-
-def _tap_scatter(values: np.ndarray, mask: np.ndarray,
-                 kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bias-free 'same' convolution of the grid that holds ``values`` on
-    ``mask`` (in row-major order) and zero elsewhere, at the cells its taps reach.
-
-    Returns ``(cells, acc)``: the ascending flat indices of the cells within
-    the kernel of a masked cell, and one output row per cell plus a spare
-    last row, which takes the taps that land off the grid and is left for
-    the caller to overwrite. Every other cell's output is zero. The cost is
-    k*k small GEMMs over the masked cells; the cells are unique, so no row
-    but the spare repeats within one tap.
-    """
-    kh, kw, _, cout = kernel.shape
-    ph, pw = _half_widths(kernel)
-    h, w = mask.shape
-    wp = w + 2 * pw
-    # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b), so
-    # input (i', j') reaches output (i' - a + ph, j' - b + pw), padded by (ph, pw)
-    ii, jj = np.nonzero(mask)
-    base = (ii + 2 * ph) * wp + jj + 2 * pw
-    taps = [base - a * wp - b for a in range(kh) for b in range(kw)]
-    reach = np.zeros((h + 2 * ph) * wp, dtype=bool)
-    for t in taps:
-        reach[t] = True
-    cells = np.flatnonzero(reach.reshape(-1, wp)[ph:ph + h, pw:pw + w])
-    rows = np.full(reach.size, cells.size, dtype=np.intp)
-    rows[(cells // w + ph) * wp + cells % w + pw] = np.arange(cells.size)
-    acc = np.zeros((cells.size + 1, cout), dtype=DTYPE)
-    for t, tap in zip(taps, kernel.reshape(kh * kw, -1, cout)):
-        acc[rows[t]] += values @ tap
-    return cells, acc
-
-
-def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
-                 kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """'Same' convolution of the [H, W, Cin] grid that holds ``values`` on
-    ``active`` (in row-major order) and ``bg`` everywhere else.
-
-    By linearity conv(x) = conv(bg everywhere) + conv(x - bg). The first term
-    is the bias plus bg @ kernel[a, b] over the taps that land inside the
-    grid; tap validity is separable, so it costs O(H W k Cout). The second is
-    ``_tap_scatter`` of values - bg, added at the cells its taps reach.
-    """
-    h, w = active.shape
-    kh, kw, _, cout = kernel.shape
-    ph, pw = _half_widths(kernel)
-    rows = np.arange(h)[:, None] + np.arange(kh) - ph
-    cols = np.arange(w)[:, None] + np.arange(kw) - pw
-    row_in = ((rows >= 0) & (rows < h)).astype(DTYPE)
-    col_in = ((cols >= 0) & (cols < w)).astype(DTYPE)
-    bg_cols = np.einsum("jb,c,abcd->ajd", col_in, bg, kernel, optimize=True)
-    out = (row_in @ bg_cols.reshape(kh, w * cout)).reshape(h, w, cout)
-    out += bias
-    cells, acc = _tap_scatter(values - bg, active, kernel)
-    out.reshape(-1, cout)[cells] += acc[:-1]
-    return check_finite(out, "conv output")
-
 
 def conv_refine(grid: PillarGrid, params: EnhancerParams,
                 training: bool = False) -> np.ndarray:

@@ -5,6 +5,11 @@ state for dropout). There is no autograd graph: each differentiable layer
 ships a companion ``*_backward`` that maps the upstream gradient to the
 input gradient, and compositions chain those by hand. ``grad_check``
 validates any such chain against central differences.
+
+The library holds one convolution, ``_tap_scatter``: a 'same' conv that
+multiplies only the masked cells, which the backbone's conv refine runs.
+``conv2d`` is its case with every cell active, and ``conv2d_backward`` is
+``conv2d`` with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -237,60 +242,91 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator, training: bool) -
 # 2-D ops: conv / batch norm
 # ---------------------------------------------------------------------------
 
-def _pad_amount(k: int, padding: str) -> int:
-    if padding == "same":
-        return (k - 1) // 2
-    if padding == "valid":
-        return 0
-    raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+def _half_widths(kernel: np.ndarray) -> tuple[int, int]:
+    kh, kw = kernel.shape[:2]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("conv kernel dims must be odd")
+    return kh // 2, kw // 2
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
-           stride: int = 1, padding: str = "same") -> np.ndarray:
-    """Cross-correlation of [H, W, Cin] with kernel [kh, kw, Cin, Cout].
+def _tap_scatter(values: np.ndarray, mask: np.ndarray,
+                 kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bias-free 'same' convolution of the grid that holds ``values`` on
+    ``mask`` (in row-major order) and zero elsewhere, at the cells its taps reach.
 
-    Output height is floor((H + 2p - kh) / stride) + 1 with p the per-side
-    padding (0 for 'valid', (k-1)/2 for 'same'); kernel dims must be odd.
+    Returns ``(cells, acc)``: the ascending flat indices of the cells within
+    the kernel of a masked cell, and one output row per cell plus a spare
+    last row, which takes the taps that land off the grid and is left for
+    the caller to overwrite. Every other cell's output is zero. The cost is
+    k*k small GEMMs over the masked cells; the cells are unique, so no row
+    but the spare repeats within one tap.
     """
+    kh, kw, _, cout = kernel.shape
+    ph, pw = _half_widths(kernel)
+    h, w = mask.shape
+    wp = w + 2 * pw
+    # output (i, j) reads input (i + a - ph, j + b - pw) through tap (a, b), so
+    # input (i', j') reaches output (i' - a + ph, j' - b + pw), padded by (ph, pw)
+    ii, jj = np.nonzero(mask)
+    base = (ii + 2 * ph) * wp + jj + 2 * pw
+    taps = [base - a * wp - b for a in range(kh) for b in range(kw)]
+    reach = np.zeros((h + 2 * ph) * wp, dtype=bool)
+    for t in taps:
+        reach[t] = True
+    cells = np.flatnonzero(reach.reshape(-1, wp)[ph:ph + h, pw:pw + w])
+    rows = np.full(reach.size, cells.size, dtype=np.intp)
+    rows[(cells // w + ph) * wp + cells % w + pw] = np.arange(cells.size)
+    acc = np.zeros((cells.size + 1, cout), dtype=DTYPE)
+    for t, tap in zip(taps, kernel.reshape(kh * kw, -1, cout)):
+        acc[rows[t]] += values @ tap
+    return cells, acc
+
+
+def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
+                 kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """'Same' convolution of the [H, W, Cin] grid that holds ``values`` on
+    ``active`` (in row-major order) and ``bg`` everywhere else.
+
+    By linearity conv(x) = conv(bg everywhere) + conv(x - bg). The first term
+    is the bias plus bg @ kernel[a, b] over the taps that land inside the
+    grid; tap validity is separable, so it costs O(H W k Cout). The second is
+    ``_tap_scatter`` of values - bg, added at the cells its taps reach.
+    """
+    h, w = active.shape
+    kh, kw, _, cout = kernel.shape
+    ph, pw = _half_widths(kernel)
+    rows = np.arange(h)[:, None] + np.arange(kh) - ph
+    cols = np.arange(w)[:, None] + np.arange(kw) - pw
+    row_in = ((rows >= 0) & (rows < h)).astype(DTYPE)
+    col_in = ((cols >= 0) & (cols < w)).astype(DTYPE)
+    bg_cols = np.einsum("jb,c,abcd->ajd", col_in, bg, kernel, optimize=True)
+    out = (row_in @ bg_cols.reshape(kh, w * cout)).reshape(h, w, cout)
+    out += bias
+    cells, acc = _tap_scatter(values - bg, active, kernel)
+    out.reshape(-1, cout)[cells] += acc[:-1]
+    return check_finite(out, "conv output")
+
+
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """'Same' cross-correlation of [H, W, Cin] with kernel [kh, kw, Cin, Cout],
+    kernel dims odd: ``_tap_scatter`` with every cell active."""
     x = np.asarray(x, dtype=DTYPE)
     kernel = np.asarray(kernel, dtype=DTYPE)
-    kh, kw, cin, cout = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("conv2d kernel dims must be odd")
-    if x.ndim != 3 or x.shape[2] != cin:
+    if x.ndim != 3 or kernel.ndim != 4 or x.shape[2] != kernel.shape[2]:
         raise ValueError(f"conv2d: input shape {x.shape} incompatible with kernel {kernel.shape}")
-    ph, pw = _pad_amount(kh, padding), _pad_amount(kw, padding)
-    h, w = x.shape[:2]
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ValueError("conv2d: kernel larger than padded input")
-    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
-    # im2col via strided window view, then one contraction
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # [oh, ow, cin, kh, kw]
-    out = np.einsum("xycij,ijcd->xyd", windows, kernel, optimize=True)
+    h, w, cin = x.shape
+    _, acc = _tap_scatter(x.reshape(-1, cin), np.ones((h, w), dtype=bool), kernel)
+    out = acc[:-1].reshape(h, w, kernel.shape[3])
     if bias is not None:
-        out = out + bias
-    return check_finite(np.ascontiguousarray(out), "conv2d output")
+        out += bias
+    return check_finite(out, "conv2d output")
 
 
-def conv2d_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                    stride: int = 1, padding: str = "same") -> np.ndarray:
-    """Input gradient of ``conv2d``; accumulation loop over output positions."""
+def conv2d_backward(dy: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Input gradient of ``conv2d``: the conv of ``dy`` with the kernel flipped
+    in both spatial axes and its channel axes swapped."""
     kernel = np.asarray(kernel, dtype=DTYPE)
-    kh, kw, cin, _ = kernel.shape
-    ph, pw = _pad_amount(kh, padding), _pad_amount(kw, padding)
-    h, w = x.shape[:2]
-    dxp = np.zeros((h + 2 * ph, w + 2 * pw, cin), dtype=DTYPE)
-    kflat = kernel.reshape(kh * kw * cin, -1)  # [kh*kw*cin, cout]
-    oh, ow = dy.shape[:2]
-    for i in range(oh):
-        for j in range(ow):
-            patch_grad = kflat @ dy[i, j]  # [kh*kw*cin]
-            dxp[i * stride:i * stride + kh, j * stride:j * stride + kw] += \
-                patch_grad.reshape(kh, kw, cin)
-    return dxp[ph:ph + h, pw:pw + w]
+    return conv2d(dy, kernel[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 @dataclass(eq=False)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pan.backbone as backbone
+import pan.layers as layers
 from pan.backbone import (
     EnhancerConfig,
     conv_refine,
@@ -28,7 +29,7 @@ from pan.layers import BatchNormStats, batch_norm2d, conv2d, relu, softmax_rows
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, pillarize, scatter
 from pan.tensor import Rng
 
-from test_layers import conv2d_oracle, max_pool2d, max_pool_oracle
+from test_layers import conv2d_im2col, conv2d_oracle, max_pool2d, max_pool_oracle
 
 
 def attention_oracle(x, params, cfg):
@@ -355,10 +356,10 @@ class TestEnhance:
 def dense_refine(grid, params, training=False):
     """The dense composition that the sparse ``conv_refine`` must reproduce."""
     c1, c2 = params.conv1, params.conv2
-    x = conv2d(grid.data, c1.kernel, c1.bias, padding="same")
+    x = conv2d_im2col(grid.data, c1.kernel, c1.bias)
     x = batch_norm2d(x, c1.bn_stats, c1.bn_gamma, c1.bn_beta, training=training)
     x = max_pool2d(relu(x), window=2, stride=2)
-    return conv2d(x, c2.kernel, c2.bias, padding="same")
+    return conv2d_im2col(x, c2.kernel, c2.bias)
 
 
 # one pillar at each corner and at the middle of each edge of a 7 x 8 grid
@@ -440,13 +441,17 @@ class TestConvRefine:
                                        getattr(dense_params.conv1.bn_stats, name),
                                        rtol=0, atol=1e-10)
 
-    def test_rejects_even_kernel(self):
+    @pytest.mark.parametrize("conv", [
+        pytest.param(conv_refine, id="conv_refine"),
+        pytest.param(lambda grid, params: conv2d(grid.data, params.conv1.kernel), id="conv2d"),
+    ])
+    def test_rejects_even_kernel(self, conv):
         # EnhancerConfig refuses an even conv_kernel, so only hand-built parameters have one
         params = init_enhancer(2, EnhancerConfig(embed_dim=8, dropout_p=0.0), Rng(6))
         params.conv1.kernel = np.zeros((2, 2, 2, 2))
         grid = PillarGrid(mask=np.zeros((4, 4), dtype=bool), features=np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="odd"):
-            conv_refine(grid, params)
+        with pytest.raises(ValueError, match="^conv kernel dims must be odd$"):
+            conv(grid, params)
 
 
 def _refine_case(h, w, mask, c=3, seed=0):
@@ -498,10 +503,10 @@ class TestTapScatter:
             mask = _edge_mask(h, w) if case == "edges" else np.zeros((h, w), dtype=bool)
         data = np.where(mask[..., None], rng.normal(size=(h, w, c)), 0.0)
         kernel = rng.normal(size=(k, k, c, 3))
-        cells, acc = backbone._tap_scatter(data[mask], mask, kernel)
+        cells, acc = layers._tap_scatter(data[mask], mask, kernel)
         np.testing.assert_array_equal(cells, np.flatnonzero(_dilated(mask, k)))
         assert acc.shape == (cells.size + 1, 3)
-        want = conv2d(data, kernel, padding="same").reshape(-1, 3)
+        want = conv2d_im2col(data, kernel).reshape(-1, 3)
         np.testing.assert_allclose(acc[:-1], want[cells], rtol=0, atol=1e-12)
         assert not np.delete(want, cells, axis=0).any()
 

@@ -95,28 +95,19 @@ def test_relu_grad_away_from_kink():
 
 def test_conv2d_grad():
     rng = Rng(11)
-    kernel = rng.normal(size=(3, 3, 2, 3))
-    w = rng.normal(size=(4, 4, 3))
+    # a square kernel, then a non-square one with cin != cout: the backward
+    # flips both spatial axes and swaps the channel axes
+    for kernel_shape, w_shape, x_shape in [((3, 3, 2, 3), (4, 4, 3), (4, 4, 2)),
+                                           ((3, 5, 3, 2), (5, 4, 2), (5, 4, 3))]:
+        kernel = rng.normal(size=kernel_shape)
+        w = rng.normal(size=w_shape)
 
-    def f(x):
-        y = conv2d(x, kernel, padding="same")
-        return float((y * w).sum()), conv2d_backward(w, x, kernel, padding="same")
+        def f(x):
+            y = conv2d(x, kernel)
+            return float((y * w).sum()), conv2d_backward(w, kernel)
 
-    x = rng.normal(size=(4, 4, 2))
-    assert grad_check(f, x) < TOL
-
-
-def test_conv2d_grad_stride_two_valid():
-    rng = Rng(12)
-    kernel = rng.normal(size=(3, 3, 2, 2))
-
-    def f(x):
-        y = conv2d(x, kernel, stride=2, padding="valid")
-        dy = np.ones_like(y)
-        return y.sum(), conv2d_backward(dy, x, kernel, stride=2, padding="valid")
-
-    x = rng.normal(size=(5, 5, 2))
-    assert grad_check(f, x) < TOL
+        x = rng.normal(size=x_shape)
+        assert grad_check(f, x) < TOL
 
 
 def test_batch_norm_inference_grad():

@@ -28,27 +28,34 @@ from pan.layers import (
 from pan.tensor import Rng
 
 
-def conv2d_oracle(x, kernel, bias=None, stride=1, padding="same"):
-    """Nested-loop cross-correlation, the independent reference."""
+def conv2d_oracle(x, kernel, bias=None):
+    """Nested-loop 'same' cross-correlation, the independent reference."""
     kh, kw, cin, cout = kernel.shape
-    ph = (kh - 1) // 2 if padding == "same" else 0
-    pw = (kw - 1) // 2 if padding == "same" else 0
+    ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    oh = (x.shape[0] + 2 * ph - kh) // stride + 1
-    ow = (x.shape[1] + 2 * pw - kw) // stride + 1
-    out = np.zeros((oh, ow, cout))
-    for i in range(oh):
-        for j in range(ow):
+    out = np.zeros((x.shape[0], x.shape[1], cout))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
             for d in range(cout):
                 acc = 0.0
                 for a in range(kh):
                     for b in range(kw):
                         for c in range(cin):
-                            acc += xp[i * stride + a, j * stride + b, c] * kernel[a, b, c, d]
+                            acc += xp[i + a, j + b, c] * kernel[a, b, c, d]
                 out[i, j, d] = acc
     if bias is not None:
         out += bias
     return out
+
+
+def conv2d_im2col(x, kernel, bias=None):
+    """'Same' cross-correlation as one contraction over a strided window view:
+    the dense reference for grids too large for ``conv2d_oracle``."""
+    kh, kw = kernel.shape[:2]
+    xp = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
+    out = np.einsum("xycij,ijcd->xyd", windows, kernel, optimize=True)
+    return out if bias is None else out + bias
 
 
 def max_pool_oracle(x, window=2, stride=2):
@@ -309,32 +316,33 @@ class TestConv2d:
         x = np.zeros((5, 5, 1))
         x[2, 2, 0] = 1.0
         kernel = np.ones((3, 3, 1, 1))
-        out = conv2d(x, kernel, padding="valid")
-        expected = conv2d_oracle(x, kernel, padding="valid")
-        assert np.array_equal(out, expected)
-        # the one-hot spreads into a 3x3 plateau of ones
-        assert out.shape == (3, 3, 1)
-        assert np.array_equal(out[:, :, 0], np.ones((3, 3)))
-
-    def test_stride_two_shape(self):
-        x = np.zeros((8, 8, 2))
-        kernel = np.zeros((3, 3, 2, 4))
-        assert conv2d(x, kernel, stride=2, padding="same").shape == (4, 4, 4)
+        out = conv2d(x, kernel)
+        assert np.array_equal(out, conv2d_oracle(x, kernel))
+        # the one-hot spreads into a 3x3 plateau of ones, zero around it
+        plateau = np.zeros((5, 5))
+        plateau[1:4, 1:4] = 1.0
+        assert np.array_equal(out[:, :, 0], plateau)
 
     def test_kernel_larger_than_input(self):
-        with pytest.raises(ValueError):
-            conv2d(np.zeros((2, 2, 1)), np.zeros((5, 5, 1, 1)), padding="valid")
+        # 'same' padding keeps the output at the input's size, whatever the kernel
+        rng = Rng(7)
+        kernel = rng.normal(size=(5, 5, 2, 3))
+        bias = rng.normal(size=(3,))
+        for size in (2, 1, 0):
+            x = rng.normal(size=(size, size, 2))
+            got = conv2d(x, kernel, bias)
+            assert got.shape == (size, size, 3)
+            np.testing.assert_allclose(got, conv2d_oracle(x, kernel, bias), rtol=0, atol=1e-12)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
-           st.sampled_from(["same", "valid"]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(3, 3), (3, 5), (5, 1)]))
     @settings(max_examples=25, deadline=None)
-    def test_matches_loop_oracle(self, seed, stride, padding):
+    def test_matches_loop_oracle(self, seed, kernel_hw):
         rng = Rng(seed)
         x = rng.normal(size=(7, 6, 2))
-        kernel = rng.normal(size=(3, 3, 2, 3))
+        kernel = rng.normal(size=(*kernel_hw, 2, 3))
         bias = rng.normal(size=(3,))
-        got = conv2d(x, kernel, bias, stride=stride, padding=padding)
-        want = conv2d_oracle(x, kernel, bias, stride=stride, padding=padding)
+        got = conv2d(x, kernel, bias)
+        want = conv2d_oracle(x, kernel, bias)
         assert np.allclose(got, want, atol=1e-12)
 
 

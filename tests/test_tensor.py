@@ -45,6 +45,7 @@ class TestImportScope:
         ("pan", ["pan"]),
         ("pan.io", ["pan", "pan.io", "pan.layers", "pan.metrics", "pan.pillars", "pan.tensor"]),
         ("pan.fusion", ["pan", "pan.fusion", "pan.layers", "pan.tensor"]),
+        ("pan.layers", ["pan", "pan.layers", "pan.tensor"]),
     ])
     def test_fresh_import_loads_only_its_dependencies(self, module, loaded):
         code = (f"import sys, {module}; "
