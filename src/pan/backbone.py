@@ -7,6 +7,15 @@ scales with the number of occupied pillars P instead of the grid area;
 blocks of about 2 MiB of scores, so memory is O(block * P), not P x P. The
 1/sqrt(d_k) scale is folded into Q once, and each block divides its
 [rows, d_k] output by the row sums instead of normalising [rows, P] weights.
+The embedding ``enc`` is affine in the C-wide tokens, so every head's
+scores have rank at most C + 1. When C + 1 < d_k, as in the default
+config (C = 32, d_k = 128), ``enhance`` computes attention through the
+[P, C+1] tokens with a ones column: the scores and the weighted values of
+each head run at width C + 1, 2·P²·(C+1) MACs per head instead of
+2·P²·d_k, and q, k, v and ``attn_out`` fold into [C+1, f] weight
+compositions. Otherwise it calls ``self_attention``, the projected form,
+which the gradient checks differentiate. ``count_work`` keeps counting
+the projected form.
 Two-layer convolution afterwards halves the spatial dims and triples the
 channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
@@ -154,8 +163,10 @@ def init_backbone(pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig,
 # (P = 8192: 3.5 s per call in 16-row blocks, 2.0 s in 64-row blocks).
 # At P = 1887, f = 128 (one CPU of a 2-vCPU VM, one OpenBLAS thread) the
 # median call took 107-124 ms in 1 MiB blocks and 97-109 ms in 2 or 4 MiB
-# blocks. The generator keeps two blocks alive, so tracemalloc's peak at
-# P = 3000, f = 8 is 5.2 MB at 2 MiB and 9.4 MB at 4 MiB.
+# blocks. The token-width path at P = 1988, C + 1 = 33 (same CPU) took
+# 35.8-38.2 ms in 0.5, 1 or 2 MiB blocks and 39.8-43.9 ms in 4 or 8 MiB
+# blocks (medians of two runs). The generator keeps two blocks alive, so
+# tracemalloc's peak at P = 3000, f = 8 is 5.2 MB at 2 MiB and 9.4 MB at 4 MiB.
 _ATTN_BLOCK_BYTES = 2 << 20
 _ATTN_MIN_ROWS = 64
 
@@ -165,31 +176,35 @@ def _row_blocks(p_count: int) -> list[slice]:
     return [slice(lo, min(lo + rows, p_count)) for lo in range(0, p_count, rows)]
 
 
-def _head_width(q: np.ndarray, cfg: EnhancerConfig) -> int:
-    """d_k, the width of one head: the projected ``q``'s width over ``num_heads``."""
-    require(q.shape[1] % cfg.num_heads == 0, "num_heads",
-            f"a divisor of the attention width {q.shape[1]}", cfg.num_heads)
-    return q.shape[1] // cfg.num_heads
+def _head_width(width: int, cfg: EnhancerConfig) -> int:
+    """d_k, the width of one head: the Q projection's width over ``num_heads``."""
+    require(width % cfg.num_heads == 0, "num_heads",
+            f"a divisor of the attention width {width}", cfg.num_heads)
+    return width // cfg.num_heads
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray, cfg: EnhancerConfig,
+def _attention_weights(heads: list[tuple[np.ndarray, np.ndarray]], cfg: EnhancerConfig,
                        rng: np.random.Generator | None = None, training: bool = False):
-    """Yield (head slice, row block, exp scores, row sums) per head and query-row block.
+    """Yield (head index, row block, exp scores, row sums) per head and query-row block.
 
-    Scores are Q K^T / sqrt(d_k) with d_k from ``_head_width``; the scale is
-    folded into Q once. The softmax weights are the exp scores divided by
-    their row sums, a division left to the caller. In training mode dropout
-    hits the raw scores, before the softmax, as the paper reads literally;
-    the draws run head by head, row by row, as for one [P, P] draw per head.
+    Head h's scores are ``left @ right.T`` for its (left, right) pair in
+    ``heads``, both [P, width] and already scaled. The softmax weights are the
+    exp scores divided by their row sums, a division left to the caller. In
+    training mode dropout hits the raw scores, before the softmax, as the
+    paper reads literally; the draws run head by head, row by row, as for one
+    [P, P] draw per head.
     """
-    dh = _head_width(q, cfg)
+    for hd, (left, right) in enumerate(heads):
+        rt = right.T
+        for blk in _row_blocks(len(left)):
+            scores = dropout(left[blk] @ rt, cfg.dropout_p, rng, training)
+            yield (hd, blk, *_exp_rows(scores))
+
+
+def _projected_heads(q: np.ndarray, k: np.ndarray, dh: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each head's (Q_h / sqrt(d_k), K_h); the scale is folded into Q once."""
     q = q / math.sqrt(dh)
-    for hd in range(cfg.num_heads):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        kt = k[:, sl].T
-        for blk in _row_blocks(len(q)):
-            scores = dropout(q[blk, sl] @ kt, cfg.dropout_p, rng, training)
-            yield (sl, blk, *_exp_rows(scores))
+    return [(q[:, lo:lo + dh], k[:, lo:lo + dh]) for lo in range(0, q.shape[1], dh)]
 
 
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
@@ -207,8 +222,10 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
+    dh = _head_width(q.shape[1], cfg)
     out = np.empty(v.shape)
-    for sl, blk, e, sums in _attention_weights(q, k, cfg, rng, training):
+    for hd, blk, e, sums in _attention_weights(_projected_heads(q, k, dh), cfg, rng, training):
+        sl = slice(hd * dh, (hd + 1) * dh)
         np.divide(e @ v[:, sl], sums, out=out[blk, sl])
     return linear(out, params.attn_out)
 
@@ -219,12 +236,14 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     q = linear(x, params.q)
     k = linear(x, params.k)
     v = linear(x, params.v)
-    scale = math.sqrt(_head_width(q, cfg))
+    dh = _head_width(q.shape[1], cfg)
+    scale = math.sqrt(dh)
     d_out = linear_backward(dy, params.attn_out)
     dq = np.zeros_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for sl, blk, weights, sums in _attention_weights(q, k, cfg):
+    for hd, blk, weights, sums in _attention_weights(_projected_heads(q, k, dh), cfg):
+        sl = slice(hd * dh, (hd + 1) * dh)
         weights /= sums
         d_head = d_out[blk, sl]
         dv[:, sl] += weights.T @ d_head
@@ -234,6 +253,38 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     return (linear_backward(dq, params.q)
             + linear_backward(dk, params.k)
             + linear_backward(dv, params.v))
+
+
+def _token_width_attention(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
+                           dh: int, rng: np.random.Generator | None = None,
+                           training: bool = False) -> np.ndarray:
+    """``self_attention(enc(tokens))`` computed through T1 = [tokens, 1], [P, C+1].
+
+    enc is affine, so q = T1 A_q with A_q = [W_enc; b_enc] W_q plus b_q on its
+    last row, and likewise k and v. Head h's scores are (T1 M_h) T1^T with
+    M_h = A_q,h A_k,h^T / sqrt(d_k), and the output is
+    sum_h (softmax_h T1)(A_v,h W_o,h) + b_o. Both [rows, P] GEMMs of a block
+    run at width C+1, and no [P, f] q, k or v is built.
+    """
+    t1 = np.column_stack([tokens, np.ones(len(tokens))])
+    e1 = np.vstack([params.enc.weight, params.enc.bias])
+
+    def composed(lp: LinearParams) -> np.ndarray:
+        a = e1 @ lp.weight
+        a[-1] += lp.bias
+        return a
+
+    aq, ak, av = composed(params.q), composed(params.k), composed(params.v)
+    heads = range(0, aq.shape[1], dh)
+    left = t1 @ (np.hstack([aq[:, lo:lo + dh] @ ak[:, lo:lo + dh].T for lo in heads])
+                 / math.sqrt(dh))
+    mix = np.vstack([av[:, lo:lo + dh] @ params.attn_out.weight[lo:lo + dh] for lo in heads])
+    w = t1.shape[1]
+    z = np.empty((len(t1), len(heads) * w))
+    pairs = [(left[:, i * w:(i + 1) * w], t1) for i in range(len(heads))]
+    for hd, blk, e, sums in _attention_weights(pairs, cfg, rng, training):
+        np.divide(e @ t1, sums, out=z[blk, hd * w:(hd + 1) * w])
+    return check_finite(z @ mix + params.attn_out.bias, "attention output")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +303,17 @@ def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
     """Refine pillar tokens: both the attention and the MLP sit on residual paths.
 
     e = enc(t); a = e + attention(e); m = a + mlp(a); out = dec(m).
+    Attention runs at the token width, ``_token_width_attention``, when the
+    C + 1 token columns with the ones column are fewer than the head width
+    d_k; otherwise it is ``self_attention(e)``.
     """
     e = linear(tb.tokens, params.enc)
-    a = e + self_attention(e, params, cfg, rng=rng, training=training)
+    dh = _head_width(params.q.weight.shape[1], cfg)
+    if params.enc.in_dim + 1 < dh:
+        attn = _token_width_attention(tb.tokens, params, cfg, dh, rng=rng, training=training)
+    else:
+        attn = self_attention(e, params, cfg, rng=rng, training=training)
+    a = e + attn
     m = a + _mlp(a, params)
     return TokenBatch(tokens=linear(m, params.dec), coords=tb.coords)
 
@@ -356,6 +415,10 @@ class WorkReport:
 
 
 def _token_macs(p: int, channels: int, cfg: EnhancerConfig) -> int:
+    # the nominal count of the projected form, which criterion 9, `pan bench`
+    # and perfbench's cross-check read. When C + 1 < d_k, ``enhance`` does
+    # 2·P²·(C+1) MACs per head for scores and values, not 2·P²·d_k, and no
+    # [P, f] x [f, f] q, k, v or output projection.
     f = cfg.embed_dim
     macs = 2 * p * channels * f          # encoder + decoder
     macs += 4 * p * f * f                # q, k, v and output projections

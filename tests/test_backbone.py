@@ -95,8 +95,8 @@ def _stacked_weights(x, params, cfg):
     k = x @ params.k.weight + params.k.bias
     dh = q.shape[1] // cfg.num_heads
     weights = np.full((cfg.num_heads, len(x), len(x)), np.nan)
-    for sl, blk, e, sums in backbone._attention_weights(q, k, cfg):
-        weights[sl.start // dh, blk] = e / sums
+    for hd, blk, e, sums in backbone._attention_weights(backbone._projected_heads(q, k, dh), cfg):
+        weights[hd, blk] = e / sums
     return weights
 
 
@@ -351,6 +351,89 @@ class TestEnhance:
         back = scatter(tb, grid.height, grid.width)
         assert np.array_equal(back.mask, grid.mask)
         assert np.all(back.data[~grid.mask] == 0.0)
+
+
+def enhance_projected(tokens, params, cfg, rng=None, training=False):
+    """``enhance`` with attention always in the projected form, ``self_attention``."""
+    e = layers.linear(tokens, params.enc)
+    a = e + self_attention(e, params, cfg, rng=rng, training=training)
+    m = a + backbone._mlp(a, params)
+    return layers.linear(m, params.dec)
+
+
+def _tokens(p_count, channels, seed):
+    return TokenBatch(tokens=Rng(seed).normal(size=(p_count, channels)),
+                      coords=np.column_stack([np.arange(p_count), np.zeros(p_count, dtype=int)]))
+
+
+class TestTokenWidthAttention:
+    """With C + 1 < d_k, ``enhance`` runs attention through the (C+1)-wide [tokens, 1]."""
+
+    # embed_dim 32: d_k is 32, 16 and 8 at 1, 2 and 4 heads, so C = 3 takes the
+    # token width at every head count, C = 15 at one head only, and C = 40 never
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("channels", [3, 15, 40])
+    @pytest.mark.parametrize("p_count", [0, 1, 300])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_projected_form(self, heads, channels, p_count, training):
+        cfg = EnhancerConfig(embed_dim=32, num_heads=heads, dropout_p=0.3)
+        params = init_enhancer(channels, cfg, Rng(heads * 100 + channels))
+        tb = _tokens(p_count, channels, p_count + 7)
+        got = enhance(tb, params, cfg, rng=Rng(11), training=training).tokens
+        want = enhance_projected(tb.tokens, params, cfg, rng=Rng(11), training=training)
+        assert got.shape == (p_count, channels)
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("width, heads", [(16, 3), (8, 3), (4, 8), (6, 4)])
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_heads_not_dividing_the_weights_rejected_by_field(self, width, heads, channels):
+        params = init_enhancer(channels, EnhancerConfig(embed_dim=width, num_heads=1), Rng(0))
+        cfg = EnhancerConfig(embed_dim=heads, num_heads=heads, dropout_p=0.0)
+        with pytest.raises(ValueError) as info:
+            enhance(_tokens(5, channels, 1), params, cfg)
+        assert str(info.value) == (f"field 'num_heads' must be a divisor of the attention "
+                                   f"width {width}, got {heads}")
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("self_attention called")
+
+    @pytest.mark.parametrize("channels, cfg", [
+        (PillarConfig().out_channels, EnhancerConfig()),                 # the default, 33 < 128
+        (30, EnhancerConfig(embed_dim=32, num_heads=1, dropout_p=0.0)),  # 31 < 32
+    ])
+    def test_token_width_below_head_width_skips_projected_attention(self, monkeypatch,
+                                                                    channels, cfg):
+        params = init_enhancer(channels, cfg, Rng(0))
+        want = enhance(_tokens(40, channels, 1), params, cfg).tokens
+        monkeypatch.setattr(backbone, "self_attention", self._refuse)
+        assert np.array_equal(enhance(_tokens(40, channels, 1), params, cfg).tokens, want)
+
+    @pytest.mark.parametrize("channels, embed_dim, heads", [
+        (32, 32, 4),   # d_k 8 < C + 1 = 33
+        (31, 32, 1),   # d_k 32 = C + 1
+    ])
+    def test_token_width_at_least_head_width_runs_projected_attention(
+            self, monkeypatch, channels, embed_dim, heads):
+        cfg = EnhancerConfig(embed_dim=embed_dim, num_heads=heads, dropout_p=0.0)
+        params = init_enhancer(channels, cfg, Rng(0))
+        monkeypatch.setattr(backbone, "self_attention", self._refuse)
+        with pytest.raises(AssertionError, match="self_attention called"):
+            enhance(_tokens(5, channels, 1), params, cfg)
+
+    def test_memory_scales_with_block_not_p_squared(self):
+        p_count = 3000
+        cfg = EnhancerConfig(embed_dim=32, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(3, cfg, Rng(28))
+        tb = _tokens(p_count, 3, 29)
+        tracemalloc.start()
+        try:
+            enhance(tb, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p_count * p_count * 8 / 10
 
 
 def dense_refine(grid, params, training=False):
