@@ -13,9 +13,11 @@ config (C = 32, d_k = 128), ``enhance`` computes attention through the
 [P, C+1] tokens with a ones column: the scores and the weighted values of
 each head run at width C + 1, 2·P²·(C+1) MACs per head instead of
 2·P²·d_k, and q, k, v and ``attn_out`` fold into [C+1, f] weight
-compositions. Otherwise it calls ``self_attention``, the projected form,
-which the gradient checks differentiate. ``count_work`` keeps counting
-the projected form.
+compositions. Otherwise it runs the projected heads of ``self_attention``,
+the form the gradient checks differentiate. Either way every map after the
+softmax but LayerNorm and GeLU is affine, so the rest of the token path is
+two passes over the tokens through weights composed once per call.
+``count_work`` keeps counting the projected, unfused form.
 Two-layer convolution afterwards halves the spatial dims and triples the
 channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
@@ -207,6 +209,23 @@ def _projected_heads(q: np.ndarray, k: np.ndarray, dh: int) -> list[tuple[np.nda
     return [(q[:, lo:lo + dh], k[:, lo:lo + dh]) for lo in range(0, q.shape[1], dh)]
 
 
+def _head_outputs(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
+                  rng: np.random.Generator | None = None,
+                  training: bool = False) -> np.ndarray:
+    """Each head's softmax-weighted values side by side, [P, f]: the attention
+    over tokens ``x`` before its output projection ``attn_out``."""
+    x = np.asarray(x, dtype=DTYPE)
+    q = linear(x, params.q)
+    k = linear(x, params.k)
+    v = linear(x, params.v)
+    dh = _head_width(q.shape[1], cfg)
+    out = np.empty(v.shape)
+    for hd, blk, e, sums in _attention_weights(_projected_heads(q, k, dh), cfg, rng, training):
+        sl = slice(hd * dh, (hd + 1) * dh)
+        np.divide(e @ v[:, sl], sums, out=out[blk, sl])
+    return out
+
+
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                    rng: np.random.Generator | None = None,
                    training: bool = False) -> np.ndarray:
@@ -218,16 +237,7 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     [rows, d_k] output by the row sums instead of normalising the [rows, P]
     weights. P = 0 gives no blocks and an empty [0, f] output.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    q = linear(x, params.q)
-    k = linear(x, params.k)
-    v = linear(x, params.v)
-    dh = _head_width(q.shape[1], cfg)
-    out = np.empty(v.shape)
-    for hd, blk, e, sums in _attention_weights(_projected_heads(q, k, dh), cfg, rng, training):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        np.divide(e @ v[:, sl], sums, out=out[blk, sl])
-    return linear(out, params.attn_out)
+    return linear(_head_outputs(x, params, cfg, rng, training), params.attn_out)
 
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
@@ -255,26 +265,27 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
             + linear_backward(dv, params.v))
 
 
-def _token_width_attention(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
-                           dh: int, rng: np.random.Generator | None = None,
-                           training: bool = False) -> np.ndarray:
-    """``self_attention(enc(tokens))`` computed through T1 = [tokens, 1], [P, C+1].
+def _compose(a: np.ndarray, lp: LinearParams) -> np.ndarray:
+    """``a`` W with b added to its last row: the weights of ``lp`` applied
+    after ``a``, for inputs whose last column is ones."""
+    out = a @ lp.weight
+    out[-1] += lp.bias
+    return out
 
-    enc is affine, so q = T1 A_q with A_q = [W_enc; b_enc] W_q plus b_q on its
-    last row, and likewise k and v. Head h's scores are (T1 M_h) T1^T with
-    M_h = A_q,h A_k,h^T / sqrt(d_k), and the output is
-    sum_h (softmax_h T1)(A_v,h W_o,h) + b_o. Both [rows, P] GEMMs of a block
-    run at width C+1, and no [P, f] q, k or v is built.
+
+def _token_width_heads(t1: np.ndarray, e1: np.ndarray, params: EnhancerParams,
+                       cfg: EnhancerConfig, dh: int, rng: np.random.Generator | None = None,
+                       training: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, mix)`` with Z @ mix = ``_head_outputs(t1 @ e1) @ W_o``, computed
+    through T1 = [tokens, 1], [P, C+1], and E1 = [W_enc; b_enc].
+
+    enc is affine, so q = T1 A_q with A_q = E1 W_q plus b_q on its last row,
+    and likewise k and v. Head h's scores are (T1 M_h) T1^T with
+    M_h = A_q,h A_k,h^T / sqrt(d_k). Z [P, H(C+1)] holds each head's
+    softmax times T1, and mix [H(C+1), f] stacks the A_v,h W_o,h. Both
+    [rows, P] GEMMs of a block run at width C+1, and no [P, f] q, k or v is built.
     """
-    t1 = np.column_stack([tokens, np.ones(len(tokens))])
-    e1 = np.vstack([params.enc.weight, params.enc.bias])
-
-    def composed(lp: LinearParams) -> np.ndarray:
-        a = e1 @ lp.weight
-        a[-1] += lp.bias
-        return a
-
-    aq, ak, av = composed(params.q), composed(params.k), composed(params.v)
+    aq, ak, av = (_compose(e1, lp) for lp in (params.q, params.k, params.v))
     heads = range(0, aq.shape[1], dh)
     left = t1 @ (np.hstack([aq[:, lo:lo + dh] @ ak[:, lo:lo + dh].T for lo in heads])
                  / math.sqrt(dh))
@@ -284,38 +295,45 @@ def _token_width_attention(tokens: np.ndarray, params: EnhancerParams, cfg: Enha
     pairs = [(left[:, i * w:(i + 1) * w], t1) for i in range(len(heads))]
     for hd, blk, e, sums in _attention_weights(pairs, cfg, rng, training):
         np.divide(e @ t1, sums, out=z[blk, hd * w:(hd + 1) * w])
-    return check_finite(z @ mix + params.attn_out.bias, "attention output")
+    return z, mix
 
 
 # ---------------------------------------------------------------------------
 # token enhancement (encode -> attention -> MLP -> decode)
 # ---------------------------------------------------------------------------
 
-def _mlp(a: np.ndarray, params: EnhancerParams) -> np.ndarray:
-    h = linear(a, params.mlp1)
-    h = layer_norm(h, params.ln_gamma, params.ln_beta)
-    h = gelu(h)
-    return linear(h, params.mlp2)
-
-
 def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
             rng: np.random.Generator | None = None, training: bool = False) -> TokenBatch:
     """Refine pillar tokens: both the attention and the MLP sit on residual paths.
 
-    e = enc(t); a = e + attention(e); m = a + mlp(a); out = dec(m).
-    Attention runs at the token width, ``_token_width_attention``, when the
+    e = enc(t); a = e + attention(e); m = a + mlp2(gelu(ln(mlp1(a)))); out = dec(m).
+    Every map but LayerNorm and GeLU is affine. The attention output is
+    Z @ mix + b_o: through the token width, ``_token_width_heads``, when the
     C + 1 token columns with the ones column are fewer than the head width
-    d_k; otherwise it is ``self_attention(e)``.
+    d_k, else from the projected heads ``_head_outputs(e)`` with mix = W_o.
+    With X = [Z, T1] and L = [mix; E1], b_o on the ones row, a = X L, so
+    h1 = X (L W_1) + b_1 and out = X (L W_dec) + g (W_2 W_dec) + b_2 W_dec + b_dec,
+    g = gelu(ln(h1)): two passes over the tokens through small composed
+    weights, and no [P, f] e, attention output, a or m.
     """
-    e = linear(tb.tokens, params.enc)
+    t1 = np.column_stack([tb.tokens, np.ones(len(tb))])
+    e1 = np.vstack([params.enc.weight, params.enc.bias])
     dh = _head_width(params.q.weight.shape[1], cfg)
-    if params.enc.in_dim + 1 < dh:
-        attn = _token_width_attention(tb.tokens, params, cfg, dh, rng=rng, training=training)
+    if len(e1) < dh:
+        z, mix = _token_width_heads(t1, e1, params, cfg, dh, rng=rng, training=training)
     else:
-        attn = self_attention(e, params, cfg, rng=rng, training=training)
-    a = e + attn
-    m = a + _mlp(a, params)
-    return TokenBatch(tokens=linear(m, params.dec), coords=tb.coords)
+        z = _head_outputs(linear(tb.tokens, params.enc), params, cfg, rng=rng, training=training)
+        mix = params.attn_out.weight
+    x = np.hstack([z, t1])
+    lift = np.vstack([mix, e1])
+    lift[-1] += params.attn_out.bias
+    h1 = check_finite(x @ _compose(lift, params.mlp1), "mlp1 output")
+    g = gelu(layer_norm(h1, params.ln_gamma, params.ln_beta))
+    lift_dec = _compose(lift, params.dec)
+    lift_dec[-1] += params.mlp2.bias @ params.dec.weight
+    out = x @ lift_dec
+    out += g @ (params.mlp2.weight @ params.dec.weight)
+    return TokenBatch(tokens=check_finite(out, "enhance output"), coords=tb.coords)
 
 
 def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
@@ -415,10 +433,11 @@ class WorkReport:
 
 
 def _token_macs(p: int, channels: int, cfg: EnhancerConfig) -> int:
-    # the nominal count of the projected form, which criterion 9, `pan bench`
-    # and perfbench's cross-check read. When C + 1 < d_k, ``enhance`` does
-    # 2·P²·(C+1) MACs per head for scores and values, not 2·P²·d_k, and no
-    # [P, f] x [f, f] q, k, v or output projection.
+    # the nominal count of the projected, unfused form, which criterion 9,
+    # `pan bench` and perfbench's cross-check read. When C + 1 < d_k, with H
+    # heads, ``enhance`` does 2·P²·(C+1)·H MACs for scores and values and
+    # P·(C+1)²·H for the scores' left factor; its composed tail does
+    # P·(C+1)·(1+H)·(f + C) + P·f·C, and no [P, f] x [f, f] GEMM.
     f = cfg.embed_dim
     macs = 2 * p * channels * f          # encoder + decoder
     macs += 4 * p * f * f                # q, k, v and output projections

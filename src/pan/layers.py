@@ -174,10 +174,14 @@ def _rational(z: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
 
 
 def _erf_chunk(x: np.ndarray) -> np.ndarray:
-    # both branches everywhere, then one select: a boolean gather costs more
-    xs = np.clip(x, -0.46875, 0.46875)
-    small = xs * _rational(xs * xs, _ERF_A, _ERF_B)
-    y = np.minimum(np.abs(x), _ERF_SATURATE)  # NaN propagates
+    # each branch runs on its own elements, split by index; NaN takes the erfc one
+    out = np.empty_like(x)
+    near = np.abs(x) <= 0.46875
+    small, big = np.flatnonzero(near), np.flatnonzero(~near)
+    xs = x[small]
+    out[small] = xs * _rational(xs * xs, _ERF_A, _ERF_B)
+    xb = x[big]
+    y = np.minimum(np.abs(xb), _ERF_SATURATE)  # NaN propagates
     r = _rational(y, _ERF_C, _ERF_D)
     tail = y > 4.0
     if tail.any():
@@ -186,8 +190,8 @@ def _erf_chunk(x: np.ndarray) -> np.ndarray:
         r[tail] = (_INV_SQRTPI - z * _rational(z, _ERF_P, _ERF_Q)) / yt
     # erfc(y) = exp(-y^2) R(y); erf = 1 - erfc, summed as Cody does
     r *= np.exp(-y * y)
-    big = np.copysign((0.5 - r) + 0.5, x)
-    return np.where(y <= 0.46875, small, big)
+    out[big] = np.copysign((0.5 - r) + 0.5, xb)
+    return out
 
 
 def _erf(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,21 +23,8 @@ from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, lin
 from .tensor import DTYPE, check_number_fields, check_numbers, field_error, require
 
 
-class RadarPoint(NamedTuple):
-    """One radar return in the ego frame, velocity ego-motion compensated: a
-    construction record that becomes one ``PointCloud`` row."""
-
-    x: float
-    y: float
-    z: float
-    vx: float
-    vy: float
-    rcs: float
-    sweep_offset: float = 0.0  # seconds before the current sweep; 0 = current
-    sweep_index: int = 0
-
-
-# the columns of ``PointCloud.points``, in ``RadarPoint`` field order
+# the columns of ``PointCloud.points``: a return in the ego frame, velocity
+# ego-motion compensated, and its sweep's age in seconds and index
 X, Y, Z, VX, VY, RCS, SWEEP_OFFSET, SWEEP_INDEX = range(8)
 
 # the points.jsonl keys of those columns, in column order
@@ -56,7 +42,7 @@ MAX_GRID_CELLS = 2048 * 2048
 @dataclass(eq=False)
 class PointCloud:
     """A frame's returns as float64 [N, 8] rows, from an array or from a list
-    of ``RadarPoint`` or 8-tuples; an empty sequence gives [0, 8].
+    of 8-tuples; an empty sequence gives [0, 8].
     ``frame_id`` is checked under its points.jsonl key ``frame``. The rows
     are checked once, when the cloud is built: the first with a non-finite
     value or a fractional sweep raises the points reader's error for it."""

@@ -45,13 +45,14 @@ from pan.layers import (
     softmax_rows_backward,
 )
 from pan.metrics import Box3D, EvalConfig, FrameAnnotations, evaluate, nds
-from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, scatter
+from pan.pillars import PillarConfig, PillarGrid, PointCloud, TokenBatch, gather, scatter
 from pan.safety import KMH_TO_MS, SafetyInput, braking_distance, reaction_distance, total_stopping_distance
 from pan.synth import PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
 from pan.tensor import Rng
 
 from test_backbone import attention_oracle
 from test_fusion import identity_linear, mdca_oracle, zero_linear
+from test_pillars import RadarPoint
 
 
 def _report(num, desc, fn):

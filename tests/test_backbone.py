@@ -26,10 +26,11 @@ from pan.backbone import (
     self_attention_input_grad,
 )
 from pan.layers import BatchNormStats, batch_norm2d, conv2d, relu, softmax_rows
-from pan.pillars import PillarConfig, PillarGrid, PointCloud, RadarPoint, TokenBatch, gather, pillarize, scatter
+from pan.pillars import PillarConfig, PillarGrid, PointCloud, TokenBatch, gather, pillarize, scatter
 from pan.tensor import Rng
 
 from test_layers import conv2d_im2col, conv2d_oracle, max_pool2d, max_pool_oracle
+from test_pillars import RadarPoint
 
 
 def attention_oracle(x, params, cfg):
@@ -354,10 +355,13 @@ class TestEnhance:
 
 
 def enhance_projected(tokens, params, cfg, rng=None, training=False):
-    """``enhance`` with attention always in the projected form, ``self_attention``."""
+    """``enhance`` as the unfused chain, one layer at a time, with attention
+    always in the projected form, ``self_attention``."""
     e = layers.linear(tokens, params.enc)
     a = e + self_attention(e, params, cfg, rng=rng, training=training)
-    m = a + backbone._mlp(a, params)
+    h = layers.linear(a, params.mlp1)
+    h = layers.gelu(layers.layer_norm(h, params.ln_gamma, params.ln_beta))
+    m = a + layers.linear(h, params.mlp2)
     return layers.linear(m, params.dec)
 
 
@@ -367,7 +371,8 @@ def _tokens(p_count, channels, seed):
 
 
 class TestTokenWidthAttention:
-    """With C + 1 < d_k, ``enhance`` runs attention through the (C+1)-wide [tokens, 1]."""
+    """With C + 1 < d_k, ``enhance`` runs attention through the (C+1)-wide [tokens, 1];
+    on either path the tail runs through composed weights."""
 
     # embed_dim 32: d_k is 32, 16 and 8 at 1, 2 and 4 heads, so C = 3 takes the
     # token width at every head count, C = 15 at one head only, and C = 40 never
@@ -397,7 +402,7 @@ class TestTokenWidthAttention:
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("self_attention called")
+        raise AssertionError("projected attention called")
 
     @pytest.mark.parametrize("channels, cfg", [
         (PillarConfig().out_channels, EnhancerConfig()),                 # the default, 33 < 128
@@ -407,7 +412,7 @@ class TestTokenWidthAttention:
                                                                     channels, cfg):
         params = init_enhancer(channels, cfg, Rng(0))
         want = enhance(_tokens(40, channels, 1), params, cfg).tokens
-        monkeypatch.setattr(backbone, "self_attention", self._refuse)
+        monkeypatch.setattr(backbone, "_head_outputs", self._refuse)
         assert np.array_equal(enhance(_tokens(40, channels, 1), params, cfg).tokens, want)
 
     @pytest.mark.parametrize("channels, embed_dim, heads", [
@@ -418,8 +423,8 @@ class TestTokenWidthAttention:
             self, monkeypatch, channels, embed_dim, heads):
         cfg = EnhancerConfig(embed_dim=embed_dim, num_heads=heads, dropout_p=0.0)
         params = init_enhancer(channels, cfg, Rng(0))
-        monkeypatch.setattr(backbone, "self_attention", self._refuse)
-        with pytest.raises(AssertionError, match="self_attention called"):
+        monkeypatch.setattr(backbone, "_head_outputs", self._refuse)
+        with pytest.raises(AssertionError, match="projected attention called"):
             enhance(_tokens(5, channels, 1), params, cfg)
 
     def test_memory_scales_with_block_not_p_squared(self):

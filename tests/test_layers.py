@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+import pan.layers as layers
 from pan.layers import (
     BatchNormStats,
     LinearParams,
@@ -16,6 +17,7 @@ from pan.layers import (
     conv2d,
     dropout,
     _erf,
+    _erf_chunk,
     _exp_rows,
     gelu,
     gelu_backward,
@@ -274,6 +276,81 @@ class TestErf:
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         np.testing.assert_allclose(gelu_backward(np.ones_like(x), x), cdf + x * pdf,
                                    rtol=0, atol=1e-15)
+
+
+def erf_chunk_unsplit(x):
+    """Both of Cody's branches on every element, then one select: the
+    unsplit ``_erf_chunk`` that the index split must match bit for bit."""
+    xs = np.clip(x, -0.46875, 0.46875)
+    small = xs * layers._rational(xs * xs, layers._ERF_A, layers._ERF_B)
+    y = np.minimum(np.abs(x), layers._ERF_SATURATE)
+    r = layers._rational(y, layers._ERF_C, layers._ERF_D)
+    tail = y > 4.0
+    if tail.any():
+        yt = y[tail]
+        z = 1.0 / (yt * yt)
+        r[tail] = (layers._INV_SQRTPI - z * layers._rational(z, layers._ERF_P, layers._ERF_Q)) / yt
+    r *= np.exp(-y * y)
+    big = np.copysign((0.5 - r) + 0.5, x)
+    return np.where(y <= 0.46875, small, big)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _steps_around(edge, count=6):
+    """``edge`` and ``count`` nextafter steps below and above it, both signs."""
+    below, above = [edge], [edge]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    side = np.array(below[::-1] + above[1:])
+    return np.concatenate([side, -side])
+
+
+class TestErfSplit:
+    """``_erf_chunk`` runs each branch only on its own elements and matches
+    the both-branches-then-select form bit for bit."""
+
+    @pytest.mark.parametrize("edge", [0.46875, 4.0, 8.0])
+    def test_branch_and_saturation_edges(self, edge):
+        x = _steps_around(edge)
+        assert_same_bits(_erf_chunk(x), erf_chunk_unsplit(x))
+
+    def test_special_values_keep_their_bits(self):
+        sub = np.nextafter(0.0, 1.0)
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, sub, -sub,
+                      2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310])
+        got = _erf_chunk(x)
+        assert_same_bits(got, erf_chunk_unsplit(x))
+        assert not np.signbit(got[0]) and np.signbit(got[1])
+        assert np.isnan(got[2]) and np.isnan(got[3])
+
+    @pytest.mark.parametrize("case", ["small", "large", "empty"])
+    def test_one_sided_and_empty_chunks(self, case):
+        rng = Rng(41)
+        x = {"small": rng.uniform(-0.46875, 0.46875, size=500),
+             "large": np.concatenate([rng.uniform(0.47, 9.0, size=250),
+                                      -rng.uniform(0.47, 9.0, size=250)]),
+             "empty": np.zeros(0)}[case]
+        assert_same_bits(_erf_chunk(x), erf_chunk_unsplit(x))
+
+    def test_erf_and_gelu_over_chunks_match_the_unsplit_form(self):
+        # LayerNorm-like values over several chunks and a partial last one,
+        # then a sweep past every edge
+        x = np.concatenate([Rng(42).normal(size=3 * layers._ERF_CHUNK) * 2,
+                            np.linspace(-10.0, 10.0, 2001)]).reshape(-1, 3)
+        n = layers._ERF_CHUNK
+
+        def unsplit_erf(v):
+            flat = v.reshape(-1)
+            return np.concatenate([erf_chunk_unsplit(flat[lo:lo + n])
+                                   for lo in range(0, flat.size, n)]).reshape(v.shape)
+
+        assert_same_bits(_erf(x), unsplit_erf(x))
+        assert_same_bits(gelu(x), x * (0.5 * (1.0 + unsplit_erf(x * (1.0 / math.sqrt(2.0))))))
 
 
 class TestDropout:

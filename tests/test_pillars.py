@@ -2,6 +2,7 @@
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pan.pillars import (
     RAW_CHANNELS,
     SWEEP_INDEX,
     SWEEP_OFFSET,
-    RadarPoint,
     TokenBatch,
     bin_points,
     gather,
@@ -27,6 +27,19 @@ from pan.pillars import (
     scatter,
 )
 from pan.tensor import Rng
+
+
+class RadarPoint(NamedTuple):
+    """One radar return as the 8-tuple that becomes a ``PointCloud`` row."""
+
+    x: float
+    y: float
+    z: float
+    vx: float
+    vy: float
+    rcs: float
+    sweep_offset: float = 0.0  # seconds before the current sweep; 0 = current
+    sweep_index: int = 0
 
 
 def small_cfg(**kw):
