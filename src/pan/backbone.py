@@ -8,16 +8,17 @@ blocks of about 2 MiB of scores, so memory is O(block * P), not P x P. The
 1/sqrt(d_k) scale is folded into Q once, and each block divides its
 [rows, d_k] output by the row sums instead of normalising [rows, P] weights.
 The embedding ``enc`` is affine in the C-wide tokens, so every head's
-scores have rank at most C + 1. When C + 1 < d_k, as in the default
-config (C = 32, d_k = 128), ``enhance`` computes attention through the
-[P, C+1] tokens with a ones column: the scores and the weighted values of
-each head run at width C + 1, 2·P²·(C+1) MACs per head instead of
-2·P²·d_k, and q, k, v and ``attn_out`` fold into [C+1, f] weight
-compositions. Otherwise it runs the projected heads of ``self_attention``,
-the form the gradient checks differentiate. Either way every map after the
-softmax but LayerNorm and GeLU is affine, so the rest of the token path is
-two passes over the tokens through weights composed once per call.
-``count_work`` keeps counting the projected, unfused form.
+scores have rank at most C + 1. ``_heads`` runs attention on the [P, C+1]
+tokens with a ones column through one block loop, and only each head's
+factors depend on the widths: when C + 1 < d_k, as in the default config
+(C = 32, d_k = 128), the scores and the weighted values of each head run at
+width C + 1, 2·P²·(C+1) MACs per head instead of 2·P²·d_k, and q, k, v and
+``attn_out`` fold into [C+1, f] weight compositions; otherwise the factors
+are the projected heads. ``self_attention`` is the same ``_heads`` on
+[x, 1]. Every map after the softmax but LayerNorm and GeLU is affine, so
+the rest of the token path is two passes over the tokens through weights
+composed once per call. ``count_work`` keeps counting the projected,
+unfused form.
 Two-layer convolution afterwards halves the spatial dims and triples the
 channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
@@ -209,27 +210,58 @@ def _projected_heads(q: np.ndarray, k: np.ndarray, dh: int) -> list[tuple[np.nda
     return [(q[:, lo:lo + dh], k[:, lo:lo + dh]) for lo in range(0, q.shape[1], dh)]
 
 
-def _head_outputs(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
-                  rng: np.random.Generator | None = None,
-                  training: bool = False) -> np.ndarray:
-    """Each head's softmax-weighted values side by side, [P, f]: the attention
-    over tokens ``x`` before its output projection ``attn_out``."""
-    x = np.asarray(x, dtype=DTYPE)
-    q = linear(x, params.q)
-    k = linear(x, params.k)
-    v = linear(x, params.v)
-    dh = _head_width(q.shape[1], cfg)
-    out = np.empty(v.shape)
-    for hd, blk, e, sums in _attention_weights(_projected_heads(q, k, dh), cfg, rng, training):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        np.divide(e @ v[:, sl], sums, out=out[blk, sl])
+def _affine(lp: LinearParams) -> np.ndarray:
+    """[W; b]: the weights of ``lp`` for inputs whose last column is ones."""
+    return np.vstack([lp.weight, lp.bias])
+
+
+def _compose(a: np.ndarray, lp: LinearParams) -> np.ndarray:
+    """``a`` W with b added to its last row: the weights of ``lp`` applied
+    after ``a``, for inputs whose last column is ones."""
+    out = a @ lp.weight
+    out[-1] += lp.bias
     return out
+
+
+def _heads(t1: np.ndarray, aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
+           cfg: EnhancerConfig, rng: np.random.Generator | None = None,
+           training: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, mix)``: attention over tokens T1 [P, w] whose last column is ones,
+    q = T1 A_q and likewise k and v; Z @ mix is the heads' weighted values
+    side by side times ``w_o``, the output bias left to the caller.
+
+    One block loop serves every width; only each head's factors depend on it.
+    When w < d_k, head h's scores are (T1 M_h) T1^T with
+    M_h = A_q,h A_k,h^T / sqrt(d_k), its values T1 and its rows of mix
+    A_v,h W_o,h, so both [rows, P] GEMMs of a block run at width w.
+    Otherwise they are the projected heads, and mix is ``w_o``.
+    """
+    dh = _head_width(aq.shape[1], cfg)
+    heads = range(0, aq.shape[1], dh)
+    if len(aq) < dh:
+        w = len(aq)
+        left = t1 @ (np.hstack([aq[:, lo:lo + dh] @ ak[:, lo:lo + dh].T for lo in heads])
+                     / math.sqrt(dh))
+        pairs = [(left[:, i * w:(i + 1) * w], t1) for i in range(len(heads))]
+        values = [t1] * len(heads)
+        mix = np.vstack([av[:, lo:lo + dh] @ w_o[lo:lo + dh] for lo in heads])
+    else:
+        w = dh
+        pairs = _projected_heads(t1 @ aq, t1 @ ak, dh)
+        v = t1 @ av
+        values = [v[:, lo:lo + dh] for lo in heads]
+        mix = w_o
+    z = np.empty((len(t1), len(heads) * w))
+    for hd, blk, e, sums in _attention_weights(pairs, cfg, rng, training):
+        np.divide(e @ values[hd], sums, out=z[blk, hd * w:(hd + 1) * w])
+    return z, mix
 
 
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                    rng: np.random.Generator | None = None,
                    training: bool = False) -> np.ndarray:
-    """Scaled dot-product self-attention over pillar tokens [P, f].
+    """Scaled dot-product self-attention over pillar tokens [P, f]: ``_heads``
+    on [x, 1] with A = [W; b] for each of q, k and v.
 
     The exp scores come from ``_attention_weights``. Query rows go in blocks
     of about 2 MiB of scores (at least 64 rows), so memory is O(block * P).
@@ -237,7 +269,14 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     [rows, d_k] output by the row sums instead of normalising the [rows, P]
     weights. P = 0 gives no blocks and an empty [0, f] output.
     """
-    return linear(_head_outputs(x, params, cfg, rng, training), params.attn_out)
+    x = np.asarray(x, dtype=DTYPE)
+    if x.ndim != 2 or x.shape[1] != params.q.in_dim:
+        raise ValueError(f"self_attention: input shape {x.shape} incompatible with "
+                         f"in dim {params.q.in_dim}")
+    t1 = np.column_stack([check_finite(x, "attention input"), np.ones(len(x))])
+    z, w_o = _heads(t1, *map(_affine, (params.q, params.k, params.v)),
+                    params.attn_out.weight, cfg, rng, training)
+    return check_finite(z @ w_o + params.attn_out.bias, "attention output")
 
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
@@ -265,65 +304,26 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
             + linear_backward(dv, params.v))
 
 
-def _compose(a: np.ndarray, lp: LinearParams) -> np.ndarray:
-    """``a`` W with b added to its last row: the weights of ``lp`` applied
-    after ``a``, for inputs whose last column is ones."""
-    out = a @ lp.weight
-    out[-1] += lp.bias
-    return out
-
-
-def _token_width_heads(t1: np.ndarray, e1: np.ndarray, params: EnhancerParams,
-                       cfg: EnhancerConfig, dh: int, rng: np.random.Generator | None = None,
-                       training: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``(Z, mix)`` with Z @ mix = ``_head_outputs(t1 @ e1) @ W_o``, computed
-    through T1 = [tokens, 1], [P, C+1], and E1 = [W_enc; b_enc].
-
-    enc is affine, so q = T1 A_q with A_q = E1 W_q plus b_q on its last row,
-    and likewise k and v. Head h's scores are (T1 M_h) T1^T with
-    M_h = A_q,h A_k,h^T / sqrt(d_k). Z [P, H(C+1)] holds each head's
-    softmax times T1, and mix [H(C+1), f] stacks the A_v,h W_o,h. Both
-    [rows, P] GEMMs of a block run at width C+1, and no [P, f] q, k or v is built.
-    """
-    aq, ak, av = (_compose(e1, lp) for lp in (params.q, params.k, params.v))
-    heads = range(0, aq.shape[1], dh)
-    left = t1 @ (np.hstack([aq[:, lo:lo + dh] @ ak[:, lo:lo + dh].T for lo in heads])
-                 / math.sqrt(dh))
-    mix = np.vstack([av[:, lo:lo + dh] @ params.attn_out.weight[lo:lo + dh] for lo in heads])
-    w = t1.shape[1]
-    z = np.empty((len(t1), len(heads) * w))
-    pairs = [(left[:, i * w:(i + 1) * w], t1) for i in range(len(heads))]
-    for hd, blk, e, sums in _attention_weights(pairs, cfg, rng, training):
-        np.divide(e @ t1, sums, out=z[blk, hd * w:(hd + 1) * w])
-    return z, mix
-
-
 # ---------------------------------------------------------------------------
 # token enhancement (encode -> attention -> MLP -> decode)
 # ---------------------------------------------------------------------------
 
-def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
-            rng: np.random.Generator | None = None, training: bool = False) -> TokenBatch:
-    """Refine pillar tokens: both the attention and the MLP sit on residual paths.
+def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
+                rng: np.random.Generator | None = None,
+                training: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(h1, out)`` for tokens [P, C]: mlp1's output and ``enhance``'s output.
 
-    e = enc(t); a = e + attention(e); m = a + mlp2(gelu(ln(mlp1(a)))); out = dec(m).
-    Every map but LayerNorm and GeLU is affine. The attention output is
-    Z @ mix + b_o: through the token width, ``_token_width_heads``, when the
-    C + 1 token columns with the ones column are fewer than the head width
-    d_k, else from the projected heads ``_head_outputs(e)`` with mix = W_o.
-    With X = [Z, T1] and L = [mix; E1], b_o on the ones row, a = X L, so
-    h1 = X (L W_1) + b_1 and out = X (L W_dec) + g (W_2 W_dec) + b_2 W_dec + b_dec,
-    g = gelu(ln(h1)): two passes over the tokens through small composed
-    weights, and no [P, f] e, attention output, a or m.
+    With T1 = [tokens, 1] and E1 = [W_enc; b_enc] the embedding is T1 E1, so
+    attention is ``_heads`` with A_q = E1 W_q plus b_q on its last row, and
+    likewise k and v. With X = [Z, T1] and L = [mix; E1], b_o on the ones
+    row, a = X L, so h1 = X (L W_1) + b_1 and
+    out = X (L W_dec) + g (W_2 W_dec) + b_2 W_dec + b_dec, g = gelu(ln(h1)):
+    no [P, f] e, attention output, a or m is built.
     """
-    t1 = np.column_stack([tb.tokens, np.ones(len(tb))])
-    e1 = np.vstack([params.enc.weight, params.enc.bias])
-    dh = _head_width(params.q.weight.shape[1], cfg)
-    if len(e1) < dh:
-        z, mix = _token_width_heads(t1, e1, params, cfg, dh, rng=rng, training=training)
-    else:
-        z = _head_outputs(linear(tb.tokens, params.enc), params, cfg, rng=rng, training=training)
-        mix = params.attn_out.weight
+    t1 = np.column_stack([tokens, np.ones(len(tokens))])
+    e1 = _affine(params.enc)
+    z, mix = _heads(t1, *(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
+                    params.attn_out.weight, cfg, rng, training)
     x = np.hstack([z, t1])
     lift = np.vstack([mix, e1])
     lift[-1] += params.attn_out.bias
@@ -333,15 +333,24 @@ def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
     lift_dec[-1] += params.mlp2.bias @ params.dec.weight
     out = x @ lift_dec
     out += g @ (params.mlp2.weight @ params.dec.weight)
+    return h1, out
+
+
+def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
+            rng: np.random.Generator | None = None, training: bool = False) -> TokenBatch:
+    """Refine pillar tokens: both the attention and the MLP sit on residual paths.
+
+    e = enc(t); a = e + attention(e); m = a + mlp2(gelu(ln(mlp1(a)))); out = dec(m),
+    computed by ``_token_path`` through small composed weights.
+    """
+    _, out = _token_path(tb.tokens, params, cfg, rng, training)
     return TokenBatch(tokens=check_finite(out, "enhance output"), coords=tb.coords)
 
 
 def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
                        cfg: EnhancerConfig, dy: np.ndarray) -> np.ndarray:
     """Input gradient of inference-mode ``enhance`` by explicit chaining."""
-    e = linear(tokens, params.enc)
-    a = e + self_attention(e, params, cfg)
-    h1 = linear(a, params.mlp1)
+    h1, _ = _token_path(tokens, params, cfg)
     h2 = layer_norm(h1, params.ln_gamma, params.ln_beta)
 
     dm = linear_backward(dy, params.dec)
@@ -350,7 +359,7 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
     dh2 = gelu_backward(dh3, h2)
     dh1 = layer_norm_backward(dh2, h1, params.ln_gamma)
     da = dm + linear_backward(dh1, params.mlp1)
-    de = da + self_attention_input_grad(e, params, cfg, da)
+    de = da + self_attention_input_grad(linear(tokens, params.enc), params, cfg, da)
     return linear_backward(de, params.enc)
 
 

@@ -161,6 +161,16 @@ class TestSelfAttention:
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="row max"):
             self_attention(x, params, cfg)
 
+    def test_wrong_width_and_nan_inputs_are_errors(self):
+        cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
+        params = init_enhancer(4, cfg, Rng(4))
+        with pytest.raises(ValueError, match="in dim 8"):
+            self_attention(Rng(5).normal(size=(6, 7)), params, cfg)
+        x = Rng(5).normal(size=(6, 8))
+        x[2, 3] = np.nan
+        with pytest.raises(FloatingPointError):
+            self_attention(x, params, cfg)
+
     def test_matches_loop_oracle(self):
         cfg = EnhancerConfig(embed_dim=8, num_heads=2, dropout_p=0.0)
         params = init_enhancer(4, cfg, Rng(5))
@@ -371,8 +381,9 @@ def _tokens(p_count, channels, seed):
 
 
 class TestTokenWidthAttention:
-    """With C + 1 < d_k, ``enhance`` runs attention through the (C+1)-wide [tokens, 1];
-    on either path the tail runs through composed weights."""
+    """With C + 1 < d_k, ``enhance``'s attention heads run at the width of the
+    (C+1)-wide [tokens, 1], else at d_k; either way the tail runs through
+    composed weights."""
 
     # embed_dim 32: d_k is 32, 16 and 8 at 1, 2 and 4 heads, so C = 3 takes the
     # token width at every head count, C = 15 at one head only, and C = 40 never
@@ -400,32 +411,26 @@ class TestTokenWidthAttention:
         assert str(info.value) == (f"field 'num_heads' must be a divisor of the attention "
                                    f"width {width}, got {heads}")
 
-    @staticmethod
-    def _refuse(*args, **kwargs):
-        raise AssertionError("projected attention called")
-
-    @pytest.mark.parametrize("channels, cfg", [
-        (PillarConfig().out_channels, EnhancerConfig()),                 # the default, 33 < 128
-        (30, EnhancerConfig(embed_dim=32, num_heads=1, dropout_p=0.0)),  # 31 < 32
+    @pytest.mark.parametrize("channels, cfg, width", [
+        (PillarConfig().out_channels, EnhancerConfig(), 33),              # the default, 33 < 128
+        (30, EnhancerConfig(embed_dim=32, num_heads=1, dropout_p=0.0), 31),  # 31 < 32
+        (32, EnhancerConfig(embed_dim=32, num_heads=4, dropout_p=0.0), 8),   # d_k 8 < 33
+        (31, EnhancerConfig(embed_dim=32, num_heads=1, dropout_p=0.0), 32),  # d_k 32 = C + 1
     ])
-    def test_token_width_below_head_width_skips_projected_attention(self, monkeypatch,
-                                                                    channels, cfg):
+    def test_factor_width_is_the_narrower_of_token_and_head_width(self, monkeypatch,
+                                                                   channels, cfg, width):
         params = init_enhancer(channels, cfg, Rng(0))
         want = enhance(_tokens(40, channels, 1), params, cfg).tokens
-        monkeypatch.setattr(backbone, "_head_outputs", self._refuse)
-        assert np.array_equal(enhance(_tokens(40, channels, 1), params, cfg).tokens, want)
+        widths = []
+        attention_weights = backbone._attention_weights
 
-    @pytest.mark.parametrize("channels, embed_dim, heads", [
-        (32, 32, 4),   # d_k 8 < C + 1 = 33
-        (31, 32, 1),   # d_k 32 = C + 1
-    ])
-    def test_token_width_at_least_head_width_runs_projected_attention(
-            self, monkeypatch, channels, embed_dim, heads):
-        cfg = EnhancerConfig(embed_dim=embed_dim, num_heads=heads, dropout_p=0.0)
-        params = init_enhancer(channels, cfg, Rng(0))
-        monkeypatch.setattr(backbone, "_head_outputs", self._refuse)
-        with pytest.raises(AssertionError, match="projected attention called"):
-            enhance(_tokens(5, channels, 1), params, cfg)
+        def spy(heads, *args, **kwargs):
+            widths.extend((left.shape[1], right.shape[1]) for left, right in heads)
+            return attention_weights(heads, *args, **kwargs)
+
+        monkeypatch.setattr(backbone, "_attention_weights", spy)
+        assert np.array_equal(enhance(_tokens(40, channels, 1), params, cfg).tokens, want)
+        assert widths == [(width, width)] * cfg.num_heads
 
     def test_memory_scales_with_block_not_p_squared(self):
         p_count = 3000

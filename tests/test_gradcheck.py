@@ -1,6 +1,7 @@
 """Central-difference validation of every layer exposing a backward rule."""
 
 import numpy as np
+import pytest
 
 from pan.backbone import EnhancerConfig, enhance_input_grad, init_enhancer, self_attention, self_attention_input_grad
 from pan.layers import (
@@ -136,8 +137,11 @@ def test_self_attention_grad():
     assert grad_check(f, x) < TOL
 
 
-def test_enhance_grad():
-    cfg = EnhancerConfig(embed_dim=8, num_heads=1, dropout_p=0.0, conv_enabled=False)
+# C + 1 = 5 against d_k = 8 at one head and 4 at two, so both kinds of head
+# factors are differentiated: token width, then projected
+@pytest.mark.parametrize("heads", [1, 2])
+def test_enhance_grad(heads):
+    cfg = EnhancerConfig(embed_dim=8, num_heads=heads, dropout_p=0.0, conv_enabled=False)
     params = init_enhancer(4, cfg, Rng(16))
     coords = np.array([[0, 0], [0, 1], [1, 0]])
 

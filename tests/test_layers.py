@@ -223,6 +223,23 @@ class TestActivations:
         assert phi1 == pytest.approx(0.8413, abs=5e-5)
 
 
+# Cody's erfc for y > 4: exp(-y^2) (1/sqrt(pi) - z P(z) / Q(z)) / y with
+# z = 1 / y^2, coefficients as in Netlib's CALERF
+CODY_TAIL_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+               1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+CODY_TAIL_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+               6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def erf_cody_tail(x):
+    """erf for 4 < |x| <= 8 through Cody's own rational for that range."""
+    y = np.abs(x)
+    z = 1.0 / (y * y)
+    r = (1.0 / math.sqrt(math.pi) - z * layers._rational(z, CODY_TAIL_P, CODY_TAIL_Q)) / y
+    r *= np.exp(-y * y)
+    return np.copysign((0.5 - r) + 0.5, x)
+
+
 class TestErf:
     def test_sweep_matches_math_and_scipy(self):
         x = np.linspace(-30.0, 30.0, 1_200_001)
@@ -232,8 +249,8 @@ class TestErf:
         np.testing.assert_allclose(got, special.erf(x), rtol=0, atol=4e-16)
 
     def test_range_edges_within_a_few_ulps(self):
-        # both sides of the Cody range limits 0.46875 and 4, and of the
-        # saturation at 8
+        # both sides of the branch limit 0.46875, of 4, where Cody's own
+        # ranges meet, and of the saturation at 8
         edges = []
         for edge in (0.46875, 4.0, 8.0):
             for side in (-np.inf, np.inf):
@@ -245,6 +262,14 @@ class TestErf:
         got = _erf(x)
         want = np.array([math.erf(v) for v in x])
         assert np.all(np.abs(got - want) <= 6 * np.spacing(np.abs(want)))
+
+    def test_one_rational_above_four_matches_codys_tail(self):
+        # the y <= 4 rational carried on to the saturation at 8 gives Cody's
+        # y > 4 results bit for bit
+        y = np.linspace(4.0, 8.0, 1_000_001)
+        y[0] = np.nextafter(4.0, np.inf)
+        x = np.concatenate([y, -y])
+        assert_same_bits(_erf(x), erf_cody_tail(x))
 
     def test_small_and_subnormal_inputs(self):
         tiny = np.geomspace(5e-324, 1e-3, 2000)
@@ -285,11 +310,6 @@ def erf_chunk_unsplit(x):
     small = xs * layers._rational(xs * xs, layers._ERF_A, layers._ERF_B)
     y = np.minimum(np.abs(x), layers._ERF_SATURATE)
     r = layers._rational(y, layers._ERF_C, layers._ERF_D)
-    tail = y > 4.0
-    if tail.any():
-        yt = y[tail]
-        z = 1.0 / (yt * yt)
-        r[tail] = (layers._INV_SQRTPI - z * layers._rational(z, layers._ERF_P, layers._ERF_Q)) / yt
     r *= np.exp(-y * y)
     big = np.copysign((0.5 - r) + 0.5, x)
     return np.where(y <= 0.46875, small, big)
