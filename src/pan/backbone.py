@@ -5,20 +5,22 @@ The pipeline is pillarize -> gather -> enhance -> scatter -> conv refine.
 scales with the number of occupied pillars P instead of the grid area;
 ``count_work`` makes that ratio explicit. Attention takes its query rows in
 blocks of about 2 MiB of scores, so memory is O(block * P), not P x P. The
-1/sqrt(d_k) scale is folded into Q once, and each block divides its
-[rows, d_k] output by the row sums instead of normalising [rows, P] weights.
+1/sqrt(d_k) scale is folded into the scores' left factor once, and each block
+divides its output by the row sums instead of normalising [rows, P] weights.
 The embedding ``enc`` is affine in the C-wide tokens, so every head's
-scores have rank at most C + 1. ``_heads`` runs attention on the [P, C+1]
-tokens with a ones column through one block loop, and only each head's
-factors depend on the widths: when C + 1 < d_k, as in the default config
-(C = 32, d_k = 128), the scores and the weighted values of each head run at
-width C + 1, 2·P²·(C+1) MACs per head instead of 2·P²·d_k, and q, k, v and
-``attn_out`` fold into [C+1, f] weight compositions; otherwise the factors
-are the projected heads. ``self_attention`` is the same ``_heads`` on
-[x, 1]. Every map after the softmax but LayerNorm and GeLU is affine, so
-the rest of the token path is two passes over the tokens through weights
-composed once per call. ``count_work`` keeps counting the projected,
-unfused form.
+scores have rank at most C + 1. ``_head_factors`` picks each head's factors
+once: when C + 1 < d_k, as in the default config (C = 32, d_k = 128), the
+scores and the weighted values of each head run at width C + 1,
+2·P²·(C+1) MACs per head instead of 2·P²·d_k, and q, k, v and ``attn_out``
+fold into [C+1, f] weight compositions; otherwise the factors are the
+projected heads. ``_heads`` runs attention on the [P, C+1] tokens with a
+ones column through one block loop, and ``_heads_backward`` is its
+transpose over the same blocks and factors; ``self_attention`` and its
+gradient are the same pair on [x, 1]. Every map after the softmax but
+LayerNorm and GeLU is affine, so the rest of the token path is two passes
+over the tokens through weights composed once per call, and
+``enhance_input_grad`` is those passes transposed. ``count_work`` keeps
+counting the projected, unfused form.
 Two-layer convolution afterwards halves the spatial dims and triples the
 channel depth. It too follows the occupied footprint: conv1, batch norm and
 relu see only the cells within the kernel of an occupied pillar plus one
@@ -49,8 +51,6 @@ from .layers import (
     init_linear,
     layer_norm,
     layer_norm_backward,
-    linear,
-    linear_backward,
     relu,
     softmax_rows_backward,
 )
@@ -204,12 +204,6 @@ def _attention_weights(heads: list[tuple[np.ndarray, np.ndarray]], cfg: Enhancer
             yield (hd, blk, *_exp_rows(scores))
 
 
-def _projected_heads(q: np.ndarray, k: np.ndarray, dh: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each head's (Q_h / sqrt(d_k), K_h); the scale is folded into Q once."""
-    q = q / math.sqrt(dh)
-    return [(q[:, lo:lo + dh], k[:, lo:lo + dh]) for lo in range(0, q.shape[1], dh)]
-
-
 def _affine(lp: LinearParams) -> np.ndarray:
     """[W; b]: the weights of ``lp`` for inputs whose last column is ones."""
     return np.vstack([lp.weight, lp.bias])
@@ -223,85 +217,92 @@ def _compose(a: np.ndarray, lp: LinearParams) -> np.ndarray:
     return out
 
 
-def _heads(t1: np.ndarray, aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
-           cfg: EnhancerConfig, rng: np.random.Generator | None = None,
-           training: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``(Z, mix)``: attention over tokens T1 [P, w] whose last column is ones,
-    q = T1 A_q and likewise k and v; Z @ mix is the heads' weighted values
-    side by side times ``w_o``, the output bias left to the caller.
+def _ones_column(x: np.ndarray, in_dim: int, caller: str) -> np.ndarray:
+    """[x, 1] for x [P, in_dim]; any other shape is a ValueError naming ``caller``."""
+    x = np.asarray(x, dtype=DTYPE)
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ValueError(f"{caller}: input shape {x.shape} incompatible with in dim {in_dim}")
+    return np.column_stack([x, np.ones(len(x))])
 
-    One block loop serves every width; only each head's factors depend on it.
-    When w < d_k, head h's scores are (T1 M_h) T1^T with
-    M_h = A_q,h A_k,h^T / sqrt(d_k), its values T1 and its rows of mix
-    A_v,h W_o,h, so both [rows, P] GEMMs of a block run at width w.
-    Otherwise they are the projected heads, and mix is ``w_o``.
+
+def _head_factors(aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
+                  cfg: EnhancerConfig) -> tuple[list, np.ndarray]:
+    """``([L, R, V], mix)`` of attention over tokens T1 [P, w] whose last
+    column is ones, q = T1 A_q and likewise k and v: head h's scores are
+    (T1 L_h)(T1 R_h)^T, its values T1 V_h, M_h being head h's columns of M
+    and ``None`` the identity, and Z @ mix is the heads' weighted values side
+    by side times ``w_o``. When w < d_k, L_h = A_q,h A_k,h^T / sqrt(d_k),
+    R = V = I and mix stacks A_v,h W_o,h, so both [rows, P] GEMMs of a block
+    run at width w; otherwise L = A_q / sqrt(d_k), R = A_k, V = A_v, mix = w_o.
     """
     dh = _head_width(aq.shape[1], cfg)
-    heads = range(0, aq.shape[1], dh)
-    if len(aq) < dh:
-        w = len(aq)
-        left = t1 @ (np.hstack([aq[:, lo:lo + dh] @ ak[:, lo:lo + dh].T for lo in heads])
-                     / math.sqrt(dh))
-        pairs = [(left[:, i * w:(i + 1) * w], t1) for i in range(len(heads))]
-        values = [t1] * len(heads)
-        mix = np.vstack([av[:, lo:lo + dh] @ w_o[lo:lo + dh] for lo in heads])
-    else:
-        w = dh
-        pairs = _projected_heads(t1 @ aq, t1 @ ak, dh)
-        v = t1 @ av
-        values = [v[:, lo:lo + dh] for lo in heads]
-        mix = w_o
-    z = np.empty((len(t1), len(heads) * w))
-    for hd, blk, e, sums in _attention_weights(pairs, cfg, rng, training):
-        np.divide(e @ values[hd], sums, out=z[blk, hd * w:(hd + 1) * w])
-    return z, mix
+    if len(aq) >= dh:
+        return [aq / math.sqrt(dh), ak, av], w_o
+    heads = [slice(lo, lo + dh) for lo in range(0, aq.shape[1], dh)]
+    left = np.hstack([aq[:, h] @ ak[:, h].T for h in heads]) / math.sqrt(dh)
+    return [left, None, None], np.vstack([av[:, h] @ w_o[h] for h in heads])
+
+
+def _per_head(arrays: list[np.ndarray], maps: list, cfg: EnhancerConfig):
+    """``(heads, views)``: each head's columns of Z, and per head its
+    [left, right, values] views of ``arrays``, a ``None`` map's array whole."""
+    width = maps[0].shape[1] // cfg.num_heads
+    heads = [slice(lo, lo + width) for lo in range(0, maps[0].shape[1], width)]
+    return heads, [[a if m is None else a[:, h] for a, m in zip(arrays, maps)] for h in heads]
+
+
+def _heads(t1: np.ndarray, maps: list, cfg: EnhancerConfig,
+           rng: np.random.Generator | None = None, training: bool = False) -> np.ndarray:
+    """Z for the factors ``maps`` of ``_head_factors``; one block loop serves every width."""
+    heads, views = _per_head([t1 if m is None else t1 @ m for m in maps], maps, cfg)
+    z = np.empty((len(t1), maps[0].shape[1]))
+    for hd, blk, e, sums in _attention_weights([v[:2] for v in views], cfg, rng, training):
+        np.divide(e @ views[hd][2], sums, out=z[blk, heads[hd]])
+    return z
+
+
+def _heads_backward(t1: np.ndarray, maps: list, dz: np.ndarray,
+                    cfg: EnhancerConfig) -> np.ndarray:
+    """dT1 of inference-mode ``_heads`` given dZ, in the same row blocks:
+    dleft L^T + dright R^T + dvalues V^T, an identity's summed over the heads."""
+    inputs = [t1 if m is None else t1 @ m for m in maps]
+    grads = [np.zeros_like(a) for a in inputs]
+    (heads, views), (_, dviews) = (_per_head(a, maps, cfg) for a in (inputs, grads))
+    for hd, blk, weights, sums in _attention_weights([v[:2] for v in views], cfg):
+        (left, right, values), (dleft, dright, dvalues) = views[hd], dviews[hd]
+        weights /= sums
+        d_head = dz[blk, heads[hd]]
+        dvalues += weights.T @ d_head
+        d_scores = softmax_rows_backward(d_head @ values.T, weights)
+        dleft[blk] = d_scores @ right
+        dright += d_scores.T @ left[blk]
+    return sum(d if m is None else d @ m.T for d, m in zip(grads, maps))
+
+
+def _attention_factors(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig):
+    """``(T1, maps, mix)`` of ``self_attention``: T1 = [x, 1], A = [W; b] for q, k and v."""
+    t1 = check_finite(_ones_column(x, params.q.in_dim, "self_attention"), "attention input")
+    return (t1, *_head_factors(*map(_affine, (params.q, params.k, params.v)),
+                               params.attn_out.weight, cfg))
 
 
 def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                    rng: np.random.Generator | None = None,
                    training: bool = False) -> np.ndarray:
     """Scaled dot-product self-attention over pillar tokens [P, f]: ``_heads``
-    on [x, 1] with A = [W; b] for each of q, k and v.
-
-    The exp scores come from ``_attention_weights``. Query rows go in blocks
-    of about 2 MiB of scores (at least 64 rows), so memory is O(block * P).
-    The 1/sqrt(d_k) scale is folded into Q, and each block divides its
-    [rows, d_k] output by the row sums instead of normalising the [rows, P]
-    weights. P = 0 gives no blocks and an empty [0, f] output.
-    """
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 2 or x.shape[1] != params.q.in_dim:
-        raise ValueError(f"self_attention: input shape {x.shape} incompatible with "
-                         f"in dim {params.q.in_dim}")
-    t1 = np.column_stack([check_finite(x, "attention input"), np.ones(len(x))])
-    z, w_o = _heads(t1, *map(_affine, (params.q, params.k, params.v)),
-                    params.attn_out.weight, cfg, rng, training)
-    return check_finite(z @ w_o + params.attn_out.bias, "attention output")
+    on [x, 1] with A = [W; b] for each of q, k and v, in query-row blocks of
+    about 2 MiB of scores (at least 64 rows). P = 0 gives an empty [0, f]."""
+    t1, maps, mix = _attention_factors(x, params, cfg)
+    return check_finite(_heads(t1, maps, cfg, rng, training) @ mix + params.attn_out.bias,
+                        "attention output")
 
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
                               cfg: EnhancerConfig, dy: np.ndarray) -> np.ndarray:
-    """Input gradient of inference-mode ``self_attention``, in the same row blocks."""
-    q = linear(x, params.q)
-    k = linear(x, params.k)
-    v = linear(x, params.v)
-    dh = _head_width(q.shape[1], cfg)
-    scale = math.sqrt(dh)
-    d_out = linear_backward(dy, params.attn_out)
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    for hd, blk, weights, sums in _attention_weights(_projected_heads(q, k, dh), cfg):
-        sl = slice(hd * dh, (hd + 1) * dh)
-        weights /= sums
-        d_head = d_out[blk, sl]
-        dv[:, sl] += weights.T @ d_head
-        d_scores = softmax_rows_backward(d_head @ v[:, sl].T, weights)
-        dq[blk, sl] = d_scores @ k[:, sl] / scale
-        dk[:, sl] += d_scores.T @ q[blk, sl] / scale
-    return (linear_backward(dq, params.q)
-            + linear_backward(dk, params.k)
-            + linear_backward(dv, params.v))
+    """Input gradient of inference-mode ``self_attention``: ``_heads_backward``
+    of dZ = dy mix^T, without the ones column."""
+    t1, maps, mix = _attention_factors(x, params, cfg)
+    return _heads_backward(t1, maps, dy @ mix.T, cfg)[:, :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +310,32 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
 # ---------------------------------------------------------------------------
 
 def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
-                rng: np.random.Generator | None = None,
-                training: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``(h1, out)`` for tokens [P, C]: mlp1's output and ``enhance``'s output.
+                rng: np.random.Generator | None = None, training: bool = False):
+    """``(out, tape)``: ``enhance``'s output for tokens [P, C], and what its
+    transpose reads, ``(t1, maps, h1, w_h1, w_out, w_g)``.
 
     With T1 = [tokens, 1] and E1 = [W_enc; b_enc] the embedding is T1 E1, so
     attention is ``_heads`` with A_q = E1 W_q plus b_q on its last row, and
     likewise k and v. With X = [Z, T1] and L = [mix; E1], b_o on the ones
-    row, a = X L, so h1 = X (L W_1) + b_1 and
-    out = X (L W_dec) + g (W_2 W_dec) + b_2 W_dec + b_dec, g = gelu(ln(h1)):
-    no [P, f] e, attention output, a or m is built.
+    row, a = X L, so mlp1's output is h1 = X W_h1, W_h1 = L W_1 plus b_1, and
+    out = X W_out + g W_g, W_out = L W_dec plus b_2 W_dec + b_dec,
+    W_g = W_2 W_dec, g = gelu(ln(h1)): no [P, f] e, attention output, a or m.
     """
-    t1 = np.column_stack([tokens, np.ones(len(tokens))])
+    t1 = _ones_column(tokens, params.enc.in_dim, "enhance")
     e1 = _affine(params.enc)
-    z, mix = _heads(t1, *(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
-                    params.attn_out.weight, cfg, rng, training)
-    x = np.hstack([z, t1])
+    maps, mix = _head_factors(*(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
+                              params.attn_out.weight, cfg)
+    x = np.hstack([_heads(t1, maps, cfg, rng, training), t1])
     lift = np.vstack([mix, e1])
     lift[-1] += params.attn_out.bias
-    h1 = check_finite(x @ _compose(lift, params.mlp1), "mlp1 output")
-    g = gelu(layer_norm(h1, params.ln_gamma, params.ln_beta))
-    lift_dec = _compose(lift, params.dec)
-    lift_dec[-1] += params.mlp2.bias @ params.dec.weight
-    out = x @ lift_dec
-    out += g @ (params.mlp2.weight @ params.dec.weight)
-    return h1, out
+    w_h1 = _compose(lift, params.mlp1)
+    h1 = check_finite(x @ w_h1, "mlp1 output")
+    w_out = _compose(lift, params.dec)
+    w_out[-1] += params.mlp2.bias @ params.dec.weight
+    w_g = params.mlp2.weight @ params.dec.weight
+    out = x @ w_out
+    out += gelu(layer_norm(h1, params.ln_gamma, params.ln_beta)) @ w_g
+    return out, (t1, maps, h1, w_h1, w_out, w_g)
 
 
 def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
@@ -343,24 +345,20 @@ def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
     e = enc(t); a = e + attention(e); m = a + mlp2(gelu(ln(mlp1(a)))); out = dec(m),
     computed by ``_token_path`` through small composed weights.
     """
-    _, out = _token_path(tb.tokens, params, cfg, rng, training)
+    out, _ = _token_path(tb.tokens, params, cfg, rng, training)
     return TokenBatch(tokens=check_finite(out, "enhance output"), coords=tb.coords)
 
 
 def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
                        cfg: EnhancerConfig, dy: np.ndarray) -> np.ndarray:
-    """Input gradient of inference-mode ``enhance`` by explicit chaining."""
-    h1, _ = _token_path(tokens, params, cfg)
-    h2 = layer_norm(h1, params.ln_gamma, params.ln_beta)
-
-    dm = linear_backward(dy, params.dec)
-    # m = a + mlp2(gelu(ln(mlp1(a))))
-    dh3 = linear_backward(dm, params.mlp2)
-    dh2 = gelu_backward(dh3, h2)
-    dh1 = layer_norm_backward(dh2, h1, params.ln_gamma)
-    da = dm + linear_backward(dh1, params.mlp1)
-    de = da + self_attention_input_grad(linear(tokens, params.enc), params, cfg, da)
-    return linear_backward(de, params.enc)
+    """Input gradient of inference-mode ``enhance``, ``_token_path`` transposed:
+    dX = dy W_out^T + dh1 W_h1^T, dh1 through GeLU and LayerNorm from
+    dy W_g^T, and dX = [dZ, dT1] with dZ through ``_heads_backward``."""
+    _, (t1, maps, h1, w_h1, w_out, w_g) = _token_path(tokens, params, cfg)
+    dh1 = gelu_backward(dy @ w_g.T, layer_norm(h1, params.ln_gamma, params.ln_beta))
+    dx = dy @ w_out.T + layer_norm_backward(dh1, h1, params.ln_gamma) @ w_h1.T
+    dz, dt1 = np.hsplit(dx, [maps[0].shape[1]])
+    return (dt1 + _heads_backward(t1, maps, dz, cfg))[:, :-1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pan.backbone import (
     conv_refine,
     count_work,
     enhance,
+    enhance_input_grad,
     init_backbone,
     init_enhancer,
     load_params,
@@ -95,8 +96,10 @@ def _stacked_weights(x, params, cfg):
     q = x @ params.q.weight + params.q.bias
     k = x @ params.k.weight + params.k.bias
     dh = q.shape[1] // cfg.num_heads
+    q = q / math.sqrt(dh)
+    heads = [(q[:, lo:lo + dh], k[:, lo:lo + dh]) for lo in range(0, q.shape[1], dh)]
     weights = np.full((cfg.num_heads, len(x), len(x)), np.nan)
-    for hd, blk, e, sums in backbone._attention_weights(backbone._projected_heads(q, k, dh), cfg):
+    for hd, blk, e, sums in backbone._attention_weights(heads, cfg):
         weights[hd, blk] = e / sums
     return weights
 
@@ -235,13 +238,18 @@ class TestSelfAttention:
         params = init_enhancer(4, cfg, Rng(25))
         x = Rng(26).normal(size=(37, 8))
         dy = Rng(27).normal(size=(37, 8))
+        tokens = Rng(28).normal(size=(37, 4))
+        dtokens = Rng(29).normal(size=(37, 4))
         one_block = _stacked_weights(x, params, cfg)
         grad_one = self_attention_input_grad(x, params, cfg, dy)
+        enhance_one = enhance_input_grad(tokens, params, cfg, dtokens)
         _use_block_rows(monkeypatch, 7)
         assert len(backbone._row_blocks(37)) == 6
         blocked = _stacked_weights(x, params, cfg)
         np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-15)
         np.testing.assert_allclose(self_attention_input_grad(x, params, cfg, dy), grad_one,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(enhance_input_grad(tokens, params, cfg, dtokens), enhance_one,
                                    rtol=0, atol=1e-12)
 
     def test_blocks_keep_the_row_floor_at_large_p(self):
@@ -375,6 +383,48 @@ def enhance_projected(tokens, params, cfg, rng=None, training=False):
     return layers.linear(m, params.dec)
 
 
+def self_attention_input_grad_projected(x, params, cfg, dy):
+    """Input gradient of inference-mode ``self_attention`` by explicit
+    chaining: q, k and v re-projected, one [P, P] softmax per head."""
+    if len(x) == 0:
+        return np.zeros_like(x)
+    q, k, v = (layers.linear(x, lp) for lp in (params.q, params.k, params.v))
+    dh = q.shape[1] // cfg.num_heads
+    scale = math.sqrt(dh)
+    d_out = layers.linear_backward(dy, params.attn_out)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for lo in range(0, q.shape[1], dh):
+        sl = slice(lo, lo + dh)
+        weights = softmax_rows(q[:, sl] @ k[:, sl].T / scale)
+        dv[:, sl] = weights.T @ d_out[:, sl]
+        d_scores = layers.softmax_rows_backward(d_out[:, sl] @ v[:, sl].T, weights)
+        dq[:, sl] = d_scores @ k[:, sl] / scale
+        dk[:, sl] = d_scores.T @ q[:, sl] / scale
+    return (layers.linear_backward(dq, params.q) + layers.linear_backward(dk, params.k)
+            + layers.linear_backward(dv, params.v))
+
+
+def enhance_input_grad_projected(tokens, params, cfg, dy):
+    """Input gradient of inference-mode ``enhance_projected`` by explicit
+    chaining, dec back to enc, one layer at a time."""
+    e = layers.linear(tokens, params.enc)
+    a = e + self_attention(e, params, cfg)
+    h1 = layers.linear(a, params.mlp1)
+    h2 = layers.layer_norm(h1, params.ln_gamma, params.ln_beta)
+    dm = layers.linear_backward(dy, params.dec)
+    # m = a + mlp2(gelu(ln(mlp1(a))))
+    dh2 = layers.gelu_backward(layers.linear_backward(dm, params.mlp2), h2)
+    dh1 = layers.layer_norm_backward(dh2, h1, params.ln_gamma)
+    da = dm + layers.linear_backward(dh1, params.mlp1)
+    de = da + self_attention_input_grad_projected(e, params, cfg, da)
+    return layers.linear_backward(de, params.enc)
+
+
+def _assert_relative(got, want, tol):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
+
+
 def _tokens(p_count, channels, seed):
     return TokenBatch(tokens=Rng(seed).normal(size=(p_count, channels)),
                       coords=np.column_stack([np.arange(p_count), np.zeros(p_count, dtype=int)]))
@@ -398,8 +448,34 @@ class TestTokenWidthAttention:
         got = enhance(tb, params, cfg, rng=Rng(11), training=training).tokens
         want = enhance_projected(tb.tokens, params, cfg, rng=Rng(11), training=training)
         assert got.shape == (p_count, channels)
-        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        _assert_relative(got, want, 1e-12)
+
+    # (C, embed_dim, heads): C + 1 below d_k at one head (twice) and at two,
+    # equal to it, and above it at two and at four heads
+    @pytest.mark.parametrize("channels, width, heads", [
+        (4, 8, 1), (8, 64, 2), (31, 32, 1), (4, 8, 2), (32, 128, 1), (32, 128, 4)])
+    @pytest.mark.parametrize("p_count", [0, 1, 300])
+    def test_input_grads_match_projected_chain(self, channels, width, heads, p_count):
+        cfg = EnhancerConfig(embed_dim=width, num_heads=heads, dropout_p=0.0)
+        params = init_enhancer(channels, cfg, Rng(channels + heads))
+        tokens = Rng(p_count + 1).normal(size=(p_count, channels))
+        dy = Rng(p_count + 2).normal(size=(p_count, channels))
+        _assert_relative(enhance_input_grad(tokens, params, cfg, dy),
+                         enhance_input_grad_projected(tokens, params, cfg, dy), 1e-12)
+        x = Rng(p_count + 3).normal(size=(p_count, width))
+        dx = Rng(p_count + 4).normal(size=(p_count, width))
+        _assert_relative(self_attention_input_grad(x, params, cfg, dx),
+                         self_attention_input_grad_projected(x, params, cfg, dx), 1e-12)
+
+    def test_wrong_token_width_is_an_error(self):
+        cfg = EnhancerConfig()
+        params = init_enhancer(PillarConfig().out_channels, cfg, Rng(0))
+        tb = _tokens(5, 31, 1)
+        for call in (lambda: enhance(tb, params, cfg),
+                     lambda: enhance_input_grad(tb.tokens, params, cfg, tb.tokens)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "enhance: input shape (5, 31) incompatible with in dim 32"
 
     @pytest.mark.parametrize("width, heads", [(16, 3), (8, 3), (4, 8), (6, 4)])
     @pytest.mark.parametrize("channels", [1, 8])

@@ -137,11 +137,12 @@ def test_self_attention_grad():
     assert grad_check(f, x) < TOL
 
 
-# C + 1 = 5 against d_k = 8 at one head and 4 at two, so both kinds of head
-# factors are differentiated: token width, then projected
-@pytest.mark.parametrize("heads", [1, 2])
-def test_enhance_grad(heads):
-    cfg = EnhancerConfig(embed_dim=8, num_heads=heads, dropout_p=0.0, conv_enabled=False)
+# C + 1 = 5 against d_k = 8 at one head of 8, 4 at two heads of 8 and 8 at
+# two heads of 16, so both kinds of head factors are differentiated: token
+# width, projected, and token width with the identity maps' heads summed
+@pytest.mark.parametrize("width, heads", [(8, 1), (8, 2), (16, 2)], ids=["1", "2", "16-2"])
+def test_enhance_grad(width, heads):
+    cfg = EnhancerConfig(embed_dim=width, num_heads=heads, dropout_p=0.0, conv_enabled=False)
     params = init_enhancer(4, cfg, Rng(16))
     coords = np.array([[0, 0], [0, 1], [1, 0]])
 
