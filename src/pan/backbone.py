@@ -57,7 +57,7 @@ from .layers import (
 from .io import read_json
 from .pillars import (PfnParams, PillarConfig, PillarGrid, PointCloud, TokenBatch, bin_points,
                       gather, init_pfn, pillarize, scatter)
-from .tensor import (DTYPE, Rng, check_finite, check_number_fields, check_numbers, finite_numbers,
+from .tensor import (DTYPE, Rng, check_finite, check_number_fields, check_settings, finite_numbers,
                      require)
 
 
@@ -75,16 +75,11 @@ class EnhancerConfig:
     use_attn_out = True  # a constant, read by perfbench: attention always ends in attn_out
 
     def __post_init__(self):
-        check_numbers(self, ("embed_dim", "num_heads", "conv_kernel"),
-                      integers=("embed_dim", "num_heads", "conv_kernel"),
-                      at_least={"embed_dim": 1, "num_heads": 1, "conv_kernel": 1})
+        check_settings(self, embed_dim=1, num_heads=1,
+                       dropout_p=("in [0, 1)", lambda p: 0 <= p < 1), conv_kernel=1)
         require(self.conv_kernel % 2 == 1, "conv_kernel", "odd", self.conv_kernel)
         require(self.embed_dim % self.num_heads == 0, "embed_dim",
                 f"divisible by num_heads {self.num_heads}", self.embed_dim)
-        check_number_fields({"dropout_p": self.dropout_p})
-        require(0 <= self.dropout_p < 1, "dropout_p", "in [0, 1)", self.dropout_p)
-        require(isinstance(self.conv_enabled, bool), "conv_enabled", "true or false",
-                self.conv_enabled)
 
 
 @dataclass(eq=False)
@@ -225,6 +220,12 @@ def _ones_column(x: np.ndarray, in_dim: int, caller: str) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
 
 
+def _check_output_grad(dy, shape: tuple, caller: str) -> None:
+    """A ValueError naming ``caller`` unless ``dy`` has the output's ``shape``."""
+    if np.shape(dy) != shape:
+        raise ValueError(f"{caller}: dy shape {np.shape(dy)} is not the output shape {shape}")
+
+
 def _head_factors(aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
                   cfg: EnhancerConfig) -> tuple[list, np.ndarray]:
     """``([L, R, V], mix)`` of attention over tokens T1 [P, w] whose last
@@ -302,6 +303,7 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
     """Input gradient of inference-mode ``self_attention``: ``_heads_backward``
     of dZ = dy mix^T, without the ones column."""
     t1, maps, mix = _attention_factors(x, params, cfg)
+    _check_output_grad(dy, (len(t1), mix.shape[1]), "self_attention_input_grad")
     return _heads_backward(t1, maps, dy @ mix.T, cfg)[:, :-1]
 
 
@@ -321,7 +323,7 @@ def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     out = X W_out + g W_g, W_out = L W_dec plus b_2 W_dec + b_dec,
     W_g = W_2 W_dec, g = gelu(ln(h1)): no [P, f] e, attention output, a or m.
     """
-    t1 = _ones_column(tokens, params.enc.in_dim, "enhance")
+    t1 = check_finite(_ones_column(tokens, params.enc.in_dim, "enhance"), "enhance input")
     e1 = _affine(params.enc)
     maps, mix = _head_factors(*(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
                               params.attn_out.weight, cfg)
@@ -355,6 +357,7 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
     dX = dy W_out^T + dh1 W_h1^T, dh1 through GeLU and LayerNorm from
     dy W_g^T, and dX = [dZ, dT1] with dZ through ``_heads_backward``."""
     _, (t1, maps, h1, w_h1, w_out, w_g) = _token_path(tokens, params, cfg)
+    _check_output_grad(dy, (len(t1), w_out.shape[1]), "enhance_input_grad")
     dh1 = gelu_backward(dy @ w_g.T, layer_norm(h1, params.ln_gamma, params.ln_beta))
     dx = dy @ w_out.T + layer_norm_backward(dh1, h1, params.ln_gamma) @ w_h1.T
     dz, dt1 = np.hsplit(dx, [maps[0].shape[1]])

@@ -24,7 +24,7 @@ from .metrics import CONDITIONS, EvalConfig, FrameAnnotations, evaluate, format_
 from .pillars import PillarConfig
 from .safety import KMH_TO_MS, SafetyInput, braking_distance, reaction_distance, total_stopping_distance
 from .synth import PerturbSpec, SceneSpec, generate_scene, perturb_to_predictions
-from .tensor import Rng, check_number_fields, field_error, require
+from .tensor import Rng, check_field, field_error, require
 
 
 def _integer(text: str, what: str) -> int:
@@ -207,8 +207,7 @@ def cmd_bench(args) -> int:
 
 def cmd_safety(args) -> int:
     speed = args.speed_kmh
-    check_number_fields({"speed_kmh": speed})
-    require(speed >= 0, "speed_kmh", ">= 0", speed)
+    check_field("speed_kmh", speed, 0)
     try:
         inp = SafetyInput(v0=speed * KMH_TO_MS, mu=args.mu, t_r=args.tr)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearParams, init_linear, linear, softmax_rows
-from .tensor import DTYPE, check_finite, check_number_fields, check_numbers, require
+from .tensor import DTYPE, POSITIVE, check_finite, check_settings
 
 
 @dataclass(eq=False)
@@ -35,8 +35,7 @@ class BevFeatureMap:
             raise ValueError(f"BEV feature map must have at least one cell, "
                              f"got shape {list(self.data.shape)}")
         check_finite(self.data, "BEV feature map")
-        check_number_fields({"meters_per_cell": self.meters_per_cell})
-        require(self.meters_per_cell > 0, "meters_per_cell", "> 0", self.meters_per_cell)
+        check_settings(self, meters_per_cell=POSITIVE)
 
     @property
     def height(self) -> int:
@@ -134,8 +133,7 @@ class McdaParams:
     normalize_jointly = True  # a constant, read by perfbench: one softmax over modality x point
 
     def __post_init__(self):
-        sizes = ("heads", "modalities", "points_per_head")
-        check_numbers(self, sizes, integers=sizes, at_least=dict.fromkeys(sizes, 1))
+        check_settings(self, heads=1, modalities=1, points_per_head=1)
         hmk = self.heads * self.modalities * self.points_per_head
         if self.offset_net.out_dim != 2 * hmk:
             raise ValueError("offset_net output must be heads*modalities*K*2")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import check_number_fields, field_error, finite_numbers, require
+from .tensor import (POSITIVE, UNIT_INTERVAL, check_field, check_number_fields, field_error,
+                     finite_numbers, require)
 
 CLASS_NAMES = (
     "car", "truck", "bus", "trailer", "construction_vehicle",
@@ -34,6 +35,9 @@ ATTRIBUTES = (
 
 CONDITIONS = ("day", "rain", "night")
 
+# the one rule for a condition tag, as ``check_field`` takes it
+CONDITION_RULE = (f"one of {', '.join(CONDITIONS)}", CONDITIONS.__contains__)
+
 TP_METRICS = ("ate", "ase", "aoe", "ave", "aae")
 
 # per-class metric exclusions: no orientation for cones, no attributes for
@@ -42,12 +46,6 @@ _EXCLUDED = {
     "traffic_cone": {"aoe", "aae"},
     "barrier": {"aae"},
 }
-
-
-def check_condition(condition) -> None:
-    """The one rule for a condition tag: one of ``CONDITIONS``."""
-    if condition not in CONDITIONS:
-        raise field_error("condition", f"one of {', '.join(CONDITIONS)}", condition)
 
 
 def check_class(class_name) -> None:
@@ -104,8 +102,7 @@ class Box3D:
             raise field_error("attr", "a string or null", self.attribute)
         score = self.score
         if score is not None and not (type(score) is float and 0.0 <= score <= 1.0):
-            check_number_fields({"score": score})
-            require(0.0 <= score <= 1.0, "score", "in [0, 1]", score)
+            check_field("score", score, UNIT_INTERVAL)
         self.yaw = _normalize_yaw(self.yaw)
 
     def bev_distance_to(self, other: "Box3D") -> float:
@@ -127,7 +124,7 @@ class FrameAnnotations:
 
     def __post_init__(self):
         require(isinstance(self.frame_id, str), "frame", "a string", self.frame_id)
-        check_condition(self.condition)
+        check_field("condition", self.condition, CONDITION_RULE, "str")
 
 
 @dataclass
@@ -163,18 +160,13 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], threshold_m: float):
     unmatched_gt) with matches as (pred_idx, gt_idx) pairs. ``threshold_m``
     is a finite number > 0.
     """
-    _check_threshold(threshold_m)
+    check_field("threshold_m", threshold_m, POSITIVE)
     order, per_threshold = _match(gt, pred, (threshold_m,))
     matches = per_threshold[threshold_m]
     matched_pred = {pi for pi, _ in matches}
     unmatched_pred = [pi for pi in order if pi not in matched_pred]
     unmatched_gt = sorted(set(range(len(gt))) - {gi for _, gi in matches})
     return matches, unmatched_pred, unmatched_gt
-
-
-def _check_threshold(threshold_m) -> None:
-    check_number_fields({"threshold_m": threshold_m})
-    require(threshold_m > 0, "threshold_m", "> 0", threshold_m)
 
 
 def _match(gt: list[Box3D], pred: list[Box3D], thresholds) -> tuple[list[int], dict]:
@@ -257,7 +249,7 @@ def average_precision(frames: list[FrameAnnotations], class_name: str,
     follows the ``Box3D`` class rule and ``threshold_m`` the ``match_frame`` one.
     """
     check_class(class_name)
-    _check_threshold(threshold_m)
+    check_field("threshold_m", threshold_m, POSITIVE)
     return _match_class(_by_class(frames).get(class_name, []), (threshold_m,), cfg)[threshold_m][0]
 
 
@@ -321,11 +313,9 @@ def nds(mean_ap: float, tp_values) -> float:
     tp_values = list(tp_values)
     if len(tp_values) != len(TP_METRICS):
         raise ValueError(f"expected {len(TP_METRICS)} TP errors, got {len(tp_values)}")
-    errors = dict(zip(TP_METRICS, tp_values))
-    check_number_fields({"mAP": mean_ap, **errors})
-    require(0.0 <= mean_ap <= 1.0, "mAP", "in [0, 1]", mean_ap)
-    for name, value in errors.items():
-        require(value >= 0.0, name, ">= 0", value)
+    check_field("mAP", mean_ap, UNIT_INTERVAL)
+    for name, value in zip(TP_METRICS, tp_values):
+        check_field(name, value, 0)
     return 0.5 * mean_ap + 0.1 * sum(1.0 - min(1.0, v) for v in tp_values)
 
 
@@ -389,7 +379,7 @@ def evaluate(frames: list[FrameAnnotations], cfg: EvalConfig,
     if range_band is not None:
         cfg = replace(cfg, range_filter=tuple(range_band))
     if condition is not None:
-        check_condition(condition)
+        check_field("condition", condition, CONDITION_RULE, "str")
     band = tuple(cfg.range_filter)
     selected = [f for f in frames if condition is None or f.condition == condition]
     groups = _by_class(selected, band)

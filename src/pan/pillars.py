@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import BatchNormStats, LinearParams, batch_norm2d, init_linear, linear, relu
-from .tensor import DTYPE, check_number_fields, check_numbers, field_error, require
+from .tensor import DTYPE, POSITIVE, check_number_fields, check_settings, field_error, require
 
 
 # the columns of ``PointCloud.points``: a return in the ego frame, velocity
@@ -88,17 +88,12 @@ class PillarConfig:
     out_channels: int = 32
 
     def __post_init__(self):
-        check_number_fields({name: getattr(self, name)
-                             for name in ("x_min", "x_max", "y_min", "y_max", "pillar_size")})
-        check_numbers(self, ("max_points_per_pillar", "out_channels"),
-                      integers=("max_points_per_pillar", "out_channels"),
-                      at_least={"max_points_per_pillar": 1, "out_channels": 1})
+        check_settings(self, pillar_size=POSITIVE, max_points_per_pillar=1, out_channels=1)
         axes = (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max))
         for axis, low, high in axes:
             require(high > low, f"{axis}_max", f"> {axis}_min {low:g}", high)
             require(math.isfinite(high - low), f"{axis}_max",
                     f"a finite distance from {axis}_min {low:g}", high)
-        require(self.pillar_size > 0, "pillar_size", "> 0", self.pillar_size)
         cells = [(high - low) / self.pillar_size for _, low, high in axes]
         require(cells[0] * cells[1] <= MAX_GRID_CELLS, "pillar_size",
                 f"large enough for at most {MAX_GRID_CELLS} grid cells", self.pillar_size)

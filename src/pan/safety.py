@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tensor import check_number_fields, field_error, require
+from .tensor import POSITIVE, check_settings, field_error
 
 KMH_TO_MS = 1000.0 / 3600.0
 
@@ -24,11 +24,7 @@ class SafetyInput:
     t_r: float = 1.0   # reaction time, s
 
     def __post_init__(self):
-        check_number_fields({"v0": self.v0, "mu": self.mu, "g": self.g, "t_r": self.t_r})
-        require(self.v0 >= 0, "v0", ">= 0", self.v0)
-        require(self.mu > 0, "mu", "> 0", self.mu)
-        require(self.g > 0, "g", "> 0", self.g)
-        require(self.t_r >= 0, "t_r", ">= 0", self.t_r)
+        check_settings(self, v0=0, mu=POSITIVE, g=POSITIVE, t_r=0)
         try:
             finite = math.isfinite(total_stopping_distance(self))
         except (OverflowError, ZeroDivisionError):

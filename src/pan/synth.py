@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import ATTRIBUTES, CLASS_NAMES, Box3D, check_condition
+from .metrics import ATTRIBUTES, CLASS_NAMES, CONDITION_RULE, Box3D
 from .pillars import PointCloud
-from .tensor import check_numbers, finite_numbers, require
+from .tensor import POSITIVE, UNIT_INTERVAL, check_settings, finite_numbers
 
 # nominal (w, l, h) per class, meters
 CLASS_SIZES = {
@@ -56,6 +56,12 @@ def _is_range(value, low: float = -math.inf, high: float = math.inf,
     return all(isinstance(v, kind) for v in value) and low <= value[0] <= value[1] <= high
 
 
+def _is_class_mix(mix) -> bool:
+    """True for a dict of class weights, each >= 0, with a positive sum."""
+    weights = list(mix.values()) if isinstance(mix, dict) and set(mix) <= set(CLASS_NAMES) else ()
+    return finite_numbers(weights) and min(weights, default=0) >= 0 and sum(weights) > 0
+
+
 @dataclass
 class SceneSpec:
     n_objects: int = 8
@@ -75,23 +81,16 @@ class SceneSpec:
     n_frames: int = 1
 
     def __post_init__(self):
-        check_condition(self.condition)
-        check_numbers(self, ("n_objects", "position_range", "clutter_rate", "noise_pos",
-                             "noise_vel", "noise_rcs", "n_sweeps", "sweep_period", "n_frames"),
-                      integers=("n_objects", "n_sweeps", "n_frames"),
-                      at_least={"n_sweeps": 1, "n_frames": 1})
-        require(self.position_range > EGO_KEEP_OUT, "position_range", f"> {EGO_KEEP_OUT}",
-                self.position_range)
-        require(_is_range(self.points_per_object, low=0, integers=True), "points_per_object",
-                "two integers 0 <= lo <= hi", self.points_per_object)
-        require(_is_range(self.speed_range), "speed_range", "two numbers lo <= hi",
-                self.speed_range)
-        mix = self.class_mix
-        require(isinstance(mix, dict) and set(mix) <= set(CLASS_NAMES), "class_mix",
-                f"keyed by {', '.join(CLASS_NAMES)}", mix)
-        weights = list(mix.values())
-        require(finite_numbers(weights) and min(weights, default=0) >= 0 and sum(weights) > 0,
-                "class_mix", "weights >= 0 with a positive sum", mix)
+        check_settings(
+            self, n_objects=0,
+            class_mix=(f"keyed by {', '.join(CLASS_NAMES)} with weights >= 0 and a positive sum",
+                       _is_class_mix),
+            position_range=(f"> {EGO_KEEP_OUT}", lambda r: r > EGO_KEEP_OUT),
+            speed_range=("two numbers lo <= hi", _is_range),
+            points_per_object=("two integers 0 <= lo <= hi",
+                               lambda r: _is_range(r, low=0, integers=True)),
+            clutter_rate=0, noise_pos=0, noise_vel=0, noise_rcs=0, n_sweeps=1, sweep_period=0,
+            condition=CONDITION_RULE, n_frames=1)
 
 
 @dataclass
@@ -107,13 +106,11 @@ class PerturbSpec:
     fp_position_range: float = 45.0
 
     def __post_init__(self):
-        check_numbers(self, ("translation_sigma", "scale_sigma", "yaw_sigma", "velocity_sigma",
-                             "fp_rate", "drop_prob", "attr_flip_prob", "fp_position_range"))
-        for name in ("drop_prob", "attr_flip_prob"):
-            require(getattr(self, name) <= 1, name, "in [0, 1]", getattr(self, name))
-        require(_is_range(self.score_range, 0.0, 1.0), "score_range",
-                "two numbers 0 <= lo <= hi <= 1", self.score_range)
-        require(self.fp_position_range > 0, "fp_position_range", "> 0", self.fp_position_range)
+        check_settings(self, translation_sigma=0, scale_sigma=0, yaw_sigma=0, velocity_sigma=0,
+                       drop_prob=UNIT_INTERVAL, fp_rate=0, attr_flip_prob=UNIT_INTERVAL,
+                       score_range=("two numbers 0 <= lo <= hi <= 1",
+                                    lambda r: _is_range(r, 0.0, 1.0)),
+                       fp_position_range=POSITIVE)
 
 
 def _default_attribute(cls: str, speed: float) -> str | None:

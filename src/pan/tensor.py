@@ -2,12 +2,13 @@
 
 All network math in this package runs on row-major float64 numpy arrays.
 This module owns the working dtype, the finiteness policy (NaN/Inf is an
-error state, never a value), and the seeded generator every stochastic
-component draws from.
+error state, never a value), the field checks (``check_settings`` walks a
+settings dataclass), and the seeded generator every stochastic component draws from.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -62,14 +63,32 @@ def require(ok: bool, name: str, rule: str, value) -> None:
         raise field_error(name, rule, value)
 
 
-def check_numbers(obj, names: tuple, integers: tuple = (),
-                  at_least: dict | None = None) -> None:
-    """Every field of ``obj`` in ``names`` is a finite number, an integer for
-    those in ``integers``, and >= its bound in ``at_least`` (0 when not listed)."""
-    check_number_fields({name: getattr(obj, name) for name in names}, integers)
-    for name in names:
-        bound = (at_least or {}).get(name, 0)
-        require(getattr(obj, name) >= bound, name, f">= {bound}", getattr(obj, name))
+# rules shared by several fields, as ``check_field`` takes them
+POSITIVE = ("> 0", lambda value: value > 0)
+UNIT_INTERVAL = ("in [0, 1]", lambda value: 0 <= value <= 1)
+
+
+def check_field(name: str, value, rule=None, kind: str = "float") -> None:
+    """Check one field: its ``kind`` if that is ``int``, ``float`` (a finite number,
+    integral for ``int``) or ``bool``, then its ``rule``, if any: a number n
+    for ``>= n``, or a ``(rule text, test)`` pair."""
+    if kind == "bool":
+        require(type(value) is bool, name, "true or false", value)
+    elif kind in ("int", "float"):
+        check_number_fields({name: value}, integers=(name,) if kind == "int" else ())
+    if rule is not None:
+        text, test = rule if isinstance(rule, tuple) else (f">= {rule}", lambda v: v >= rule)
+        require(test(value), name, text, value)
+
+
+def check_settings(obj, **rules) -> None:
+    """``check_field`` for each field of the dataclass ``obj`` in declaration order,
+    the kind its declared type (a string: pan modules import ``annotations``) and
+    the rule the one ``rules`` names for it. Class constants go unchecked."""
+    for f in dataclasses.fields(obj):
+        check_field(f.name, getattr(obj, f.name), rules.pop(f.name, None), f.type)
+    if rules:
+        raise TypeError(f"rules for no field of {type(obj).__name__}: {sorted(rules)}")
 
 
 def Rng(seed: int) -> np.random.Generator:

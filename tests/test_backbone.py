@@ -477,6 +477,36 @@ class TestTokenWidthAttention:
                 call()
             assert str(info.value) == "enhance: input shape (5, 31) incompatible with in dim 32"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tokens_name_the_input(self, bad):
+        cfg = EnhancerConfig()
+        params = init_enhancer(PillarConfig().out_channels, cfg, Rng(0))
+        tb = _tokens(5, 32, 1)
+        tb.tokens[2, 3] = bad
+        for call in (lambda: enhance(tb, params, cfg),
+                     lambda: enhance_input_grad(tb.tokens, params, cfg, np.ones((5, 32)))):
+            with pytest.raises(FloatingPointError) as info:
+                call()
+            assert str(info.value) == "non-finite values in enhance input"
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("grad, width, dy_shape", [
+        (enhance_input_grad, 32, (5, 31)),
+        (enhance_input_grad, 32, (4, 32)),
+        (enhance_input_grad, 32, (5, 32, 1)),
+        (self_attention_input_grad, 128, (5, 127)),
+        (self_attention_input_grad, 128, (4, 128)),
+        (self_attention_input_grad, 128, (640,)),
+    ])
+    def test_wrong_dy_shape_is_an_error(self, grad, width, dy_shape, heads):
+        # both outputs are as wide as the inputs: dec maps back to C, attn_out to embed_dim
+        cfg = EnhancerConfig(num_heads=heads)
+        params = init_enhancer(32, cfg, Rng(0))
+        with pytest.raises(ValueError) as info:
+            grad(Rng(1).normal(size=(5, width)), params, cfg, np.ones(dy_shape))
+        assert str(info.value) == (f"{grad.__name__}: dy shape {dy_shape} is not the output "
+                                   f"shape (5, {width})")
+
     @pytest.mark.parametrize("width, heads", [(16, 3), (8, 3), (4, 8), (6, 4)])
     @pytest.mark.parametrize("channels", [1, 8])
     def test_heads_not_dividing_the_weights_rejected_by_field(self, width, heads, channels):

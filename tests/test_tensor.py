@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from pan.backbone import EnhancerConfig, init_backbone
-from pan.fusion import BevFeatureMap, OccupancyMap, init_mcda
+from pan.fusion import BevFeatureMap, McdaParams, OccupancyMap, init_mcda
 from pan.layers import BatchNormStats, LinearParams
 from pan.metrics import EvalConfig, nds
 from pan.pillars import PillarConfig, PillarGrid, PointCloud, TokenBatch
 from pan.safety import SafetyInput
 from pan.synth import PerturbSpec, SceneSpec
-from pan.tensor import Rng
+from pan.tensor import Rng, check_settings
 
 
 class TestRng:
@@ -164,8 +164,91 @@ def test_conv_kernel_must_be_odd(kernel):
      "field 'meters_per_cell' must be > 0, got 0.0"),
     (lambda: nds(1.5, [0.0] * 5), "field 'mAP' must be in [0, 1], got 1.5"),
     (lambda: nds(math.nan, [0.0] * 5), "field 'mAP' is not finite"),
+    (lambda: SceneSpec(position_range=-1.0), "field 'position_range' must be > 3.0, got -1.0"),
 ])
 def test_setting_rule_reads_as_field_error(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+# one value per field that breaks that field's own rule, in declaration order;
+# a field with no rule of its own (x_min, data) is not listed
+RULE_BREAKERS = {
+    PillarConfig: {"pillar_size": 0.0, "max_points_per_pillar": 0, "out_channels": 0},
+    EnhancerConfig: {"embed_dim": 0, "num_heads": 0, "dropout_p": 2.0, "conv_enabled": 1,
+                     "conv_kernel": 0},
+    SceneSpec: {"n_objects": -1, "class_mix": {"cars": 1.0}, "position_range": 3.0,
+                "speed_range": (1.0, 0.0), "points_per_object": (2, 1), "clutter_rate": -1.0,
+                "noise_pos": -1.0, "noise_vel": -1.0, "noise_rcs": -1.0, "n_sweeps": 0,
+                "sweep_period": -1.0, "condition": "fog", "n_frames": 0},
+    PerturbSpec: {"translation_sigma": -1.0, "scale_sigma": -1.0, "yaw_sigma": -1.0,
+                  "velocity_sigma": -1.0, "drop_prob": 1.5, "fp_rate": -1.0,
+                  "attr_flip_prob": -0.5, "score_range": (0.9, 0.1), "fp_position_range": 0.0},
+    SafetyInput: {"v0": -1.0, "mu": 0.0, "g": 0.0, "t_r": -1.0},
+    BevFeatureMap: {"meters_per_cell": 0.0},
+    McdaParams: {"heads": 0, "modalities": 0, "points_per_head": 0},
+}
+
+
+def _build(cls, **changes):
+    if cls is McdaParams:
+        valid = init_mcda(4, [3], 4, heads=1, points_per_head=1, value_dim=2, rng=Rng(0))
+        return dataclasses.replace(valid, **changes)
+    return cls(**{**_valid_fields(cls), **changes})
+
+
+def _field_pairs(cls, bad_values):
+    """Every pair of fields in ``bad_values``, the first declared first."""
+    order = [f.name for f in dataclasses.fields(cls) if f.name in bad_values]
+    return [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+
+
+@pytest.mark.parametrize("cls", RULE_BREAKERS, ids=lambda cls: cls.__name__)
+def test_rule_breakers_are_listed_in_declaration_order(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(RULE_BREAKERS[cls]) == [n for n in names if n in RULE_BREAKERS[cls]]
+
+
+@pytest.mark.parametrize("cls", RULE_BREAKERS, ids=lambda cls: cls.__name__)
+def test_each_field_rule_names_its_field(cls):
+    for name, bad in RULE_BREAKERS[cls].items():
+        with pytest.raises(ValueError, match=rf"^field '{name}' must be "):
+            _build(cls, **{name: bad})
+
+
+@pytest.mark.parametrize("cls", RULE_BREAKERS, ids=lambda cls: cls.__name__)
+def test_two_bad_fields_name_the_one_declared_first(cls):
+    breakers = RULE_BREAKERS[cls]
+    for first, second in _field_pairs(cls, breakers):
+        with pytest.raises(ValueError, match=rf"^field '{first}' must be "):
+            _build(cls, **{first: breakers[first], second: breakers[second]})
+    # a non-finite number fails the declared kind, before any rule, in the same order
+    valid = _build(cls)
+    numbers = {f.name: math.nan for f in dataclasses.fields(cls)
+               if type(getattr(valid, f.name)) in (int, float, bool)}
+    for first, second in _field_pairs(cls, numbers):
+        with pytest.raises(ValueError, match=rf"^field '{first}' "):
+            _build(cls, **{first: math.nan, second: math.nan})
+
+
+def test_enhancer_names_dropout_before_conv_kernel():
+    with pytest.raises(ValueError) as info:
+        EnhancerConfig(conv_kernel=0, dropout_p=2.0)
+    assert str(info.value) == "field 'dropout_p' must be in [0, 1), got 2.0"
+
+
+@pytest.mark.parametrize("cls, constant", [
+    (EnhancerConfig, "use_attn_out"),
+    (McdaParams, "normalize_jointly"),
+    (EvalConfig, "match_thresholds_m"),
+])
+def test_class_constants_are_not_checked(monkeypatch, cls, constant):
+    assert constant not in {f.name for f in dataclasses.fields(cls)}
+    monkeypatch.setattr(cls, constant, math.nan)
+    assert getattr(_build(cls), constant) is math.nan
+
+
+def test_check_settings_refuses_a_rule_for_no_field():
+    with pytest.raises(TypeError, match=r"rules for no field of SafetyInput: \['speed'\]"):
+        check_settings(SafetyInput(v0=1.0), speed=0)
