@@ -221,9 +221,11 @@ def _ones_column(x: np.ndarray, in_dim: int, caller: str) -> np.ndarray:
 
 
 def _check_output_grad(dy, shape: tuple, caller: str) -> None:
-    """A ValueError naming ``caller`` unless ``dy`` has the output's ``shape``."""
+    """A ValueError naming ``caller`` unless ``dy`` has the output's ``shape``,
+    and a FloatingPointError if it holds NaN or Inf."""
     if np.shape(dy) != shape:
         raise ValueError(f"{caller}: dy shape {np.shape(dy)} is not the output shape {shape}")
+    check_finite(dy, "dy")
 
 
 def _head_factors(aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
@@ -514,14 +516,15 @@ def _named_arrays(params: BackboneParams) -> list[tuple[str, np.ndarray]]:
 
 
 def save_params(path, params: BackboneParams) -> None:
-    """Write parameters as a JSON list of {name, shape, values} records."""
-    records = [
-        {"name": name, "shape": list(a.shape), "values": [float(v) for v in a.reshape(-1)]}
+    """Write parameters as a JSON list of {name, shape, values} records; a
+    non-finite value raises FloatingPointError before the file is opened."""
+    text = json.dumps([
+        {"name": name, "shape": list(a.shape),
+         "values": check_finite(a, f"parameter {name!r}").reshape(-1).tolist()}
         for name, a in _named_arrays(params)
-    ]
+    ])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_params(path, pillar_cfg: PillarConfig, enh_cfg: EnhancerConfig) -> BackboneParams:

@@ -29,17 +29,16 @@ PANF_MAGIC = b"PANF"
 
 def _write_jsonl(path, items, records) -> None:
     """Write the dicts ``records(item)`` yields for each item, one compact JSON
-    object per line. No two items may share a ``frame_id``, since a reader
-    groups records by frame; that holds before the file is opened."""
-    items, seen = list(items), set()
+    object per line. No two items may share a ``frame_id``, since a reader groups
+    records by frame; the file opens once every line is made, so an error leaves none."""
+    lines, seen = [], set()
     for item in items:
         if item.frame_id in seen:
             raise field_error("frame", "unique", item.frame_id)
         seen.add(item.frame_id)
+        lines += (json.dumps(rec, allow_nan=False) + "\n" for rec in records(item))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for item in items:
-            for rec in records(item):
-                fh.write(json.dumps(rec, allow_nan=False) + "\n")
+        fh.writelines(lines)
 
 
 def write_points_jsonl(path, clouds) -> None:
@@ -113,7 +112,21 @@ def read_points_jsonl(path) -> list[PointCloud]:
 # boxes.jsonl
 # ---------------------------------------------------------------------------
 
+def _check_role(rec: dict) -> None:
+    """The role rule of a box record: role 'gt' or 'pred', and a number
+    ``score`` on every prediction and on no ground-truth box."""
+    role = rec["role"]
+    if role not in ("gt", "pred"):
+        raise field_error("role", "'gt' or 'pred'", role)
+    if ("score" in rec) != (role == "pred"):
+        problem = "is only for" if role == "gt" else "is required for"
+        raise ValueError(f"field 'score' {problem} role 'pred'")
+    if role == "pred" and rec["score"] is None:  # Box3D reads None as "no score"
+        raise field_error("score", "a number", None)
+
+
 def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
+    """The record of box ``b``, checked by the reader's own role rule."""
     rec = {
         "frame": frame_id,
         "role": role,
@@ -124,25 +137,15 @@ def _box_record(frame_id: str, role: str, condition: str, b: Box3D) -> dict:
         "vx": float(b.vx), "vy": float(b.vy),
         "attr": b.attribute,
     }
-    if role == "pred":
-        rec["score"] = float(b.score)
+    if role == "pred" or b.score is not None:
+        rec["score"] = None if b.score is None else float(b.score)
     rec["condition"] = condition
+    _check_role(rec)
     return rec
 
 
-def _scored(frame: FrameAnnotations) -> FrameAnnotations:
-    """``frame``, once only its predictions carry a score, as ``read_boxes_jsonl``
-    requires; the first other box raises the reader's own error."""
-    if any(b.score is not None for b in frame.gt):
-        raise ValueError("field 'score' is only for role 'pred'")
-    if any(b.score is None for b in frame.pred):
-        raise field_error("score", "a number", None)
-    return frame
-
-
 def write_boxes_jsonl(path, frames) -> None:
-    # the map runs in the pre-pass, so a refused box leaves no file behind
-    _write_jsonl(path, map(_scored, frames), lambda frame: (
+    _write_jsonl(path, frames, lambda frame: (
         _box_record(frame.frame_id, role, frame.condition, b)
         for role, boxes in (("gt", frame.gt), ("pred", frame.pred)) for b in boxes))
 
@@ -155,13 +158,7 @@ def read_boxes_jsonl(path) -> list[FrameAnnotations]:
 
     def take(rec):
         role, frame_id, condition = rec["role"], rec["frame"], rec["condition"]
-        if role not in ("gt", "pred"):
-            raise field_error("role", "'gt' or 'pred'", role)
-        if ("score" in rec) != (role == "pred"):
-            problem = "is only for" if role == "gt" else "is required for"
-            raise ValueError(f"field 'score' {problem} role 'pred'")
-        if role == "pred" and rec["score"] is None:  # Box3D reads None as "no score"
-            raise field_error("score", "a number", None)
+        _check_role(rec)
         try:
             frame = frames.get(frame_id)
         except TypeError:  # an unhashable id, which FrameAnnotations names

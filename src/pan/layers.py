@@ -6,10 +6,10 @@ ships a companion ``*_backward`` that maps the upstream gradient to the
 input gradient, and compositions chain those by hand. ``grad_check``
 validates any such chain against central differences.
 
-The library holds one convolution, ``_tap_scatter``: a 'same' conv that
-multiplies only the masked cells, which the backbone's conv refine runs.
-``conv2d`` is its case with every cell active, and ``conv2d_backward`` is
-``conv2d`` with the flipped kernel.
+The library holds one convolution, ``_sparse_conv``: a 'same' conv over a
+constant background that multiplies only the active cells, as the backbone's
+conv refine runs it. ``conv2d`` is its case with every cell active on a zero
+background, and ``conv2d_backward`` is ``conv2d`` with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -306,17 +306,14 @@ def _sparse_conv(active: np.ndarray, values: np.ndarray, bg: np.ndarray,
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """'Same' cross-correlation of [H, W, Cin] with kernel [kh, kw, Cin, Cout],
-    kernel dims odd: ``_tap_scatter`` with every cell active."""
+    kernel dims odd: ``_sparse_conv`` with every cell active on a zero background."""
     x = np.asarray(x, dtype=DTYPE)
     kernel = np.asarray(kernel, dtype=DTYPE)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[2] != kernel.shape[2]:
         raise ValueError(f"conv2d: input shape {x.shape} incompatible with kernel {kernel.shape}")
     h, w, cin = x.shape
-    _, acc = _tap_scatter(x.reshape(-1, cin), np.ones((h, w), dtype=bool), kernel)
-    out = acc[:-1].reshape(h, w, kernel.shape[3])
-    if bias is not None:
-        out += bias
-    return check_finite(out, "conv2d output")
+    return _sparse_conv(np.ones((h, w), dtype=bool), x.reshape(-1, cin), np.zeros(cin),
+                        kernel, 0.0 if bias is None else bias)
 
 
 def conv2d_backward(dy: np.ndarray, kernel: np.ndarray) -> np.ndarray:

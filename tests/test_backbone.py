@@ -507,6 +507,19 @@ class TestTokenWidthAttention:
         assert str(info.value) == (f"{grad.__name__}: dy shape {dy_shape} is not the output "
                                    f"shape (5, {width})")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("grad, width", [(enhance_input_grad, 32),
+                                             (self_attention_input_grad, 128)])
+    def test_non_finite_dy_is_an_error(self, grad, width, bad):
+        # one bad value would otherwise spread through the whole input gradient
+        cfg = EnhancerConfig()
+        params = init_enhancer(32, cfg, Rng(0))
+        dy = np.ones((5, width))
+        dy[2, 3] = bad
+        with pytest.raises(FloatingPointError) as info:
+            grad(Rng(1).normal(size=(5, width)), params, cfg, dy)
+        assert str(info.value) == "non-finite values in dy"
+
     @pytest.mark.parametrize("width, heads", [(16, 3), (8, 3), (4, 8), (6, 4)])
     @pytest.mark.parametrize("channels", [1, 8])
     def test_heads_not_dividing_the_weights_rejected_by_field(self, width, heads, channels):
@@ -961,6 +974,16 @@ class TestParamsIO:
         a = pan_backbone(pc, params, pcfg, cfg)
         b = pan_backbone(pc, loaded, pcfg, cfg)
         assert np.array_equal(a, b)
+
+    def test_save_refuses_a_non_finite_parameter(self, tmp_path):
+        # load_params would refuse the NaN token, so no file may be written
+        params = init_backbone(small_pillar_cfg(), EnhancerConfig(embed_dim=8), Rng(33))
+        params.enhancer.conv2.bias[0] = math.nan
+        path = tmp_path / "params.json"
+        with pytest.raises(FloatingPointError) as info:
+            save_params(path, params)
+        assert str(info.value) == "non-finite values in parameter 'conv2.bias'"
+        assert not path.exists()
 
     def test_round_trip_at_non_default_dims(self, tmp_path):
         pcfg = small_pillar_cfg(out_channels=5)

@@ -571,6 +571,16 @@ class TestJsonl:
             read_points_jsonl(path)
         assert f"{path}:1: {info.value}" == str(read_info.value)
 
+    def test_points_writer_leaves_no_file_for_a_row_changed_after_the_cloud(self, tmp_path):
+        # the cloud checked its rows when it was built; the writer still refuses a NaN
+        # set since, and has written no line of the first cloud when it does
+        late = PointCloud("g", np.zeros((3, 8)))
+        late.points[1, X] = math.nan
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError):
+            write_points_jsonl(path, [PointCloud("f", np.zeros((4, 8))), late])
+        assert not path.exists()
+
     @pytest.mark.parametrize("role, score, message", [
         ("pred", None, "field 'score' must be a number, got null"),
         ("gt", 0.5, "field 'score' is only for role 'pred'"),
