@@ -230,60 +230,54 @@ def _check_output_grad(dy, shape: tuple, caller: str) -> None:
 
 def _head_factors(aq: np.ndarray, ak: np.ndarray, av: np.ndarray, w_o: np.ndarray,
                   cfg: EnhancerConfig) -> tuple[list, np.ndarray]:
-    """``([L, R, V], mix)`` of attention over tokens T1 [P, w] whose last
-    column is ones, q = T1 A_q and likewise k and v: head h's scores are
-    (T1 L_h)(T1 R_h)^T, its values T1 V_h, M_h being head h's columns of M
-    and ``None`` the identity, and Z @ mix is the heads' weighted values side
-    by side times ``w_o``. When w < d_k, L_h = A_q,h A_k,h^T / sqrt(d_k),
-    R = V = I and mix stacks A_v,h W_o,h, so both [rows, P] GEMMs of a block
-    run at width w; otherwise L = A_q / sqrt(d_k), R = A_k, V = A_v, mix = w_o.
+    """``(heads, mix)`` of attention over tokens T1 [P, w] whose last column
+    is ones, q = T1 A_q and likewise k and v: head h's maps (L_h, R_h, V_h)
+    give scores (T1 L_h)(T1 R_h)^T and values T1 V_h, ``None`` being the
+    identity, and Z @ mix is the heads' weighted values side by side times
+    ``w_o``. M_h is head h's columns of M. When w < d_k, L_h = A_q,h A_k,h^T
+    / sqrt(d_k), R_h = V_h = I and mix stacks A_v,h W_o,h, so both [rows, P]
+    GEMMs of a block run at width w; otherwise L_h = A_q,h / sqrt(d_k),
+    R_h = A_k,h, V_h = A_v,h and mix = w_o.
     """
     dh = _head_width(aq.shape[1], cfg)
+    cols = [slice(lo, lo + dh) for lo in range(0, aq.shape[1], dh)]
     if len(aq) >= dh:
-        return [aq / math.sqrt(dh), ak, av], w_o
-    heads = [slice(lo, lo + dh) for lo in range(0, aq.shape[1], dh)]
-    left = np.hstack([aq[:, h] @ ak[:, h].T for h in heads]) / math.sqrt(dh)
-    return [left, None, None], np.vstack([av[:, h] @ w_o[h] for h in heads])
+        return [(aq[:, h] / math.sqrt(dh), ak[:, h], av[:, h]) for h in cols], w_o
+    return ([(aq[:, h] @ ak[:, h].T / math.sqrt(dh), None, None) for h in cols],
+            np.vstack([av[:, h] @ w_o[h] for h in cols]))
 
 
-def _per_head(arrays: list[np.ndarray], maps: list, cfg: EnhancerConfig):
-    """``(heads, views)``: each head's columns of Z, and per head its
-    [left, right, values] views of ``arrays``, a ``None`` map's array whole."""
-    width = maps[0].shape[1] // cfg.num_heads
-    heads = [slice(lo, lo + width) for lo in range(0, maps[0].shape[1], width)]
-    return heads, [[a if m is None else a[:, h] for a, m in zip(arrays, maps)] for h in heads]
-
-
-def _heads(t1: np.ndarray, maps: list, cfg: EnhancerConfig,
-           rng: np.random.Generator | None = None, training: bool = False) -> np.ndarray:
-    """Z for the factors ``maps`` of ``_head_factors``; one block loop serves every width."""
-    heads, views = _per_head([t1 if m is None else t1 @ m for m in maps], maps, cfg)
-    z = np.empty((len(t1), maps[0].shape[1]))
-    for hd, blk, e, sums in _attention_weights([v[:2] for v in views], cfg, rng, training):
-        np.divide(e @ views[hd][2], sums, out=z[blk, heads[hd]])
+def _heads(t1: np.ndarray, heads: list, cfg: EnhancerConfig,
+           rng: np.random.Generator | None = None, training: bool = False) -> list[np.ndarray]:
+    """Z's block per head for the ``heads`` of ``_head_factors``, in one block loop."""
+    mapped = [[t1 if m is None else t1 @ m for m in maps] for maps in heads]
+    z = [np.empty(values.shape) for _, _, values in mapped]
+    for hd, blk, e, sums in _attention_weights([m[:2] for m in mapped], cfg, rng, training):
+        np.divide(e @ mapped[hd][2], sums, out=z[hd][blk])
     return z
 
 
-def _heads_backward(t1: np.ndarray, maps: list, dz: np.ndarray,
+def _heads_backward(t1: np.ndarray, heads: list, dz: np.ndarray,
                     cfg: EnhancerConfig) -> np.ndarray:
     """dT1 of inference-mode ``_heads`` given dZ, in the same row blocks:
-    dleft L^T + dright R^T + dvalues V^T, an identity's summed over the heads."""
-    inputs = [t1 if m is None else t1 @ m for m in maps]
-    grads = [np.zeros_like(a) for a in inputs]
-    (heads, views), (_, dviews) = (_per_head(a, maps, cfg) for a in (inputs, grads))
-    for hd, blk, weights, sums in _attention_weights([v[:2] for v in views], cfg):
-        (left, right, values), (dleft, dright, dvalues) = views[hd], dviews[hd]
+    the sum over the heads of dleft L_h^T + dright R_h^T + dvalues V_h^T."""
+    mapped = [[t1 if m is None else t1 @ m for m in maps] for maps in heads]
+    grads = [[np.zeros_like(a) for a in m] for m in mapped]
+    d_heads = np.hsplit(dz, len(heads))
+    for hd, blk, weights, sums in _attention_weights([m[:2] for m in mapped], cfg):
+        (left, right, values), (dleft, dright, dvalues) = mapped[hd], grads[hd]
         weights /= sums
-        d_head = dz[blk, heads[hd]]
+        d_head = d_heads[hd][blk]
         dvalues += weights.T @ d_head
         d_scores = softmax_rows_backward(d_head @ values.T, weights)
         dleft[blk] = d_scores @ right
         dright += d_scores.T @ left[blk]
-    return sum(d if m is None else d @ m.T for d, m in zip(grads, maps))
+    return sum(d if m is None else d @ m.T
+               for maps, g in zip(heads, grads) for m, d in zip(maps, g))
 
 
 def _attention_factors(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig):
-    """``(T1, maps, mix)`` of ``self_attention``: T1 = [x, 1], A = [W; b] for q, k and v."""
+    """``(T1, heads, mix)`` of ``self_attention``: T1 = [x, 1], A = [W; b] for q, k and v."""
     t1 = check_finite(_ones_column(x, params.q.in_dim, "self_attention"), "attention input")
     return (t1, *_head_factors(*map(_affine, (params.q, params.k, params.v)),
                                params.attn_out.weight, cfg))
@@ -295,18 +289,18 @@ def self_attention(x: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     """Scaled dot-product self-attention over pillar tokens [P, f]: ``_heads``
     on [x, 1] with A = [W; b] for each of q, k and v, in query-row blocks of
     about 2 MiB of scores (at least 64 rows). P = 0 gives an empty [0, f]."""
-    t1, maps, mix = _attention_factors(x, params, cfg)
-    return check_finite(_heads(t1, maps, cfg, rng, training) @ mix + params.attn_out.bias,
-                        "attention output")
+    t1, heads, mix = _attention_factors(x, params, cfg)
+    z = np.hstack(_heads(t1, heads, cfg, rng, training))
+    return check_finite(z @ mix + params.attn_out.bias, "attention output")
 
 
 def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
                               cfg: EnhancerConfig, dy: np.ndarray) -> np.ndarray:
     """Input gradient of inference-mode ``self_attention``: ``_heads_backward``
     of dZ = dy mix^T, without the ones column."""
-    t1, maps, mix = _attention_factors(x, params, cfg)
+    t1, heads, mix = _attention_factors(x, params, cfg)
     _check_output_grad(dy, (len(t1), mix.shape[1]), "self_attention_input_grad")
-    return _heads_backward(t1, maps, dy @ mix.T, cfg)[:, :-1]
+    return _heads_backward(t1, heads, dy @ mix.T, cfg)[:, :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def self_attention_input_grad(x: np.ndarray, params: EnhancerParams,
 def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
                 rng: np.random.Generator | None = None, training: bool = False):
     """``(out, tape)``: ``enhance``'s output for tokens [P, C], and what its
-    transpose reads, ``(t1, maps, h1, w_h1, w_out, w_g)``.
+    transpose reads, ``(t1, heads, h1, w_h1, w_out, w_g)``.
 
     With T1 = [tokens, 1] and E1 = [W_enc; b_enc] the embedding is T1 E1, so
     attention is ``_heads`` with A_q = E1 W_q plus b_q on its last row, and
@@ -327,9 +321,9 @@ def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     """
     t1 = check_finite(_ones_column(tokens, params.enc.in_dim, "enhance"), "enhance input")
     e1 = _affine(params.enc)
-    maps, mix = _head_factors(*(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
-                              params.attn_out.weight, cfg)
-    x = np.hstack([_heads(t1, maps, cfg, rng, training), t1])
+    heads, mix = _head_factors(*(_compose(e1, lp) for lp in (params.q, params.k, params.v)),
+                               params.attn_out.weight, cfg)
+    x = np.hstack([*_heads(t1, heads, cfg, rng, training), t1])
     lift = np.vstack([mix, e1])
     lift[-1] += params.attn_out.bias
     w_h1 = _compose(lift, params.mlp1)
@@ -339,7 +333,7 @@ def _token_path(tokens: np.ndarray, params: EnhancerParams, cfg: EnhancerConfig,
     w_g = params.mlp2.weight @ params.dec.weight
     out = x @ w_out
     out += gelu(layer_norm(h1, params.ln_gamma, params.ln_beta)) @ w_g
-    return out, (t1, maps, h1, w_h1, w_out, w_g)
+    return out, (t1, heads, h1, w_h1, w_out, w_g)
 
 
 def enhance(tb: TokenBatch, params: EnhancerParams, cfg: EnhancerConfig,
@@ -358,12 +352,12 @@ def enhance_input_grad(tokens: np.ndarray, params: EnhancerParams,
     """Input gradient of inference-mode ``enhance``, ``_token_path`` transposed:
     dX = dy W_out^T + dh1 W_h1^T, dh1 through GeLU and LayerNorm from
     dy W_g^T, and dX = [dZ, dT1] with dZ through ``_heads_backward``."""
-    _, (t1, maps, h1, w_h1, w_out, w_g) = _token_path(tokens, params, cfg)
+    _, (t1, heads, h1, w_h1, w_out, w_g) = _token_path(tokens, params, cfg)
     _check_output_grad(dy, (len(t1), w_out.shape[1]), "enhance_input_grad")
     dh1 = gelu_backward(dy @ w_g.T, layer_norm(h1, params.ln_gamma, params.ln_beta))
     dx = dy @ w_out.T + layer_norm_backward(dh1, h1, params.ln_gamma) @ w_h1.T
-    dz, dt1 = np.hsplit(dx, [maps[0].shape[1]])
-    return (dt1 + _heads_backward(t1, maps, dz, cfg))[:, :-1]
+    dz, dt1 = np.hsplit(dx, [dx.shape[1] - t1.shape[1]])
+    return (dt1 + _heads_backward(t1, heads, dz, cfg))[:, :-1]
 
 
 # ---------------------------------------------------------------------------

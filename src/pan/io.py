@@ -42,8 +42,8 @@ def _write_jsonl(path, items, records) -> None:
 
 
 def write_points_jsonl(path, clouds) -> None:
-    # PointCloud has refused every row that read_points_jsonl would not read back
     def records(cloud):
+        cloud = PointCloud(cloud.frame_id, cloud.points)  # rows may change after the build
         for x, y, z, vx, vy, rcs, dt, sweep in cloud.points.tolist():
             yield {"frame": cloud.frame_id, "x": x, "y": y, "z": z, "vx": vx, "vy": vy,
                    "rcs": rcs, "sweep": int(sweep), "dt": dt}

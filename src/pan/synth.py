@@ -123,6 +123,15 @@ def _default_attribute(cls: str, speed: float) -> str | None:
     return None  # cones and barriers carry no attribute
 
 
+def _class_box(cls: str, x: float, y: float, yaw: float, speed: float,
+               score: float | None = None) -> Box3D:
+    """A ``cls``-sized box standing on the ground at (x, y), moving at ``speed`` along ``yaw``."""
+    w, l, h = CLASS_SIZES[cls]
+    return Box3D(x=x, y=y, z=h / 2.0, w=w, l=l, h=h, yaw=yaw,
+                 vx=speed * math.cos(yaw), vy=speed * math.sin(yaw),
+                 class_name=cls, attribute=_default_attribute(cls, speed), score=score)
+
+
 def _sample_class(mix: dict, rng: np.random.Generator) -> str:
     names = sorted(mix)
     probs = np.array([mix[n] for n in names], dtype=float)
@@ -154,7 +163,7 @@ def generate_scene(spec: SceneSpec, rng: np.random.Generator,
     boxes: list[Box3D] = []
     for _ in range(spec.n_objects):
         cls = _sample_class(spec.class_mix, rng)
-        w, l, h = CLASS_SIZES[cls]
+        w, l, _ = CLASS_SIZES[cls]
         radius = math.hypot(w, l) / 2.0
         placed = False
         for _ in range(200):
@@ -171,12 +180,7 @@ def generate_scene(spec: SceneSpec, rng: np.random.Generator,
         if not placed:
             raise RuntimeError("could not place objects without overlap")
         yaw = rng.uniform(-math.pi, math.pi)
-        speed = rng.uniform(*spec.speed_range)
-        boxes.append(Box3D(
-            x=x, y=y, z=h / 2.0, w=w, l=l, h=h, yaw=yaw,
-            vx=speed * math.cos(yaw), vy=speed * math.sin(yaw),
-            class_name=cls, attribute=_default_attribute(cls, speed),
-        ))
+        boxes.append(_class_box(cls, x, y, yaw, rng.uniform(*spec.speed_range)))
 
     points: list[tuple] = []  # PointCloud rows
     area = (2.0 * spec.position_range) ** 2
@@ -232,17 +236,11 @@ def perturb_to_predictions(gt: list[Box3D], spec: PerturbSpec,
             attribute=attr,
             score=float(rng.uniform(*spec.score_range)),
         ))
+    r = spec.fp_position_range
     for _ in range(int(rng.poisson(spec.fp_rate))):
         cls = CLASS_NAMES[int(rng.choice(len(CLASS_NAMES)))]
-        w, l, h = CLASS_SIZES[cls]
         speed = rng.uniform(0.0, 10.0)
         yaw = rng.uniform(-math.pi, math.pi)
-        preds.append(Box3D(
-            x=rng.uniform(-spec.fp_position_range, spec.fp_position_range),
-            y=rng.uniform(-spec.fp_position_range, spec.fp_position_range),
-            z=h / 2.0, w=w, l=l, h=h, yaw=yaw,
-            vx=speed * math.cos(yaw), vy=speed * math.sin(yaw),
-            class_name=cls, attribute=_default_attribute(cls, speed),
-            score=float(rng.uniform(*spec.score_range)),
-        ))
+        preds.append(_class_box(cls, rng.uniform(-r, r), rng.uniform(-r, r), yaw, speed,
+                                float(rng.uniform(*spec.score_range))))
     return preds

@@ -686,7 +686,8 @@ class TestEvalGolden:
 class TestPointPathGolden:
     """``pan gen`` points and ``pan backbone`` outputs pinned byte for byte.
 
-    The default scene and grid, with and without the conv tail. The outputs
+    The default scene and grid, with and without the conv tail, and three
+    multi-head configs on both sides of the attention width fork. The outputs
     are named relative to the working directory so that stdout does not
     depend on where the test runs.
     """
@@ -721,3 +722,33 @@ class TestPointPathGolden:
 
     def test_points_and_feature_maps_byte_identical(self, tmp_path, capsys, monkeypatch):
         assert self.outputs(tmp_path, capsys, monkeypatch) == (self.POINTS, self.BACKBONE)
+
+    # sha256 of (.panf, stdout) per multi-head ``--config`` run on the same
+    # scene and parameters. C + 1 = 33: d_k 32 and 8 run the projected heads,
+    # d_k 64 the token width
+    MULTI_HEAD = {
+        "heads4": ({"enhancer": {"num_heads": 4}},
+                   "26d1370e3965fb80a3c565789935e4ab1f1909e7cb673506e4498d37c9eca30c",
+                   "66e721b0b1f7374599023c7cbcc2f893d3dbbae639ebfca7d83fbd8c5bd2435b"),
+        "heads2": ({"enhancer": {"num_heads": 2}},
+                   "91bfa527867f2d42740eb8d00cc50edac76e47e0031dc535ad9cc684fb0999fa",
+                   "fb618616421400912ec27811221b86fd79194158925ae063191d00e3a93c1dde"),
+        "embed32": ({"enhancer": {"embed_dim": 32, "num_heads": 4}},
+                    "152d12d0297cc56c09753b26b2db25aca131b48ad3941443b2924d0dcab2c908",
+                    "4dde93f56c1c32a677974c74d0d4aa0e1cc0f51aefd46ad0258e960cb4f252bc"),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(MULTI_HEAD))
+    def test_multi_head_feature_maps_byte_identical(self, tmp_path, capsys, monkeypatch, tag):
+        config, panf, stdout = self.MULTI_HEAD[tag]
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["gen", "--seed", "7", "--out-points", "points.jsonl",
+                            "--out-boxes", "boxes.jsonl"], capsys)
+        assert code == 0, err
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = f"feat_{tag}.panf"
+        code, printed, err = run(["backbone", "--points", "points.jsonl", "--config", "config.json",
+                                  "--params", "random:3", "--out", out], capsys)
+        assert code == 0, err
+        assert self.sha((tmp_path / out).read_bytes()) == panf
+        assert self.sha(printed.encode()) == stdout

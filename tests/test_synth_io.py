@@ -571,14 +571,20 @@ class TestJsonl:
             read_points_jsonl(path)
         assert f"{path}:1: {info.value}" == str(read_info.value)
 
-    def test_points_writer_leaves_no_file_for_a_row_changed_after_the_cloud(self, tmp_path):
-        # the cloud checked its rows when it was built; the writer still refuses a NaN
-        # set since, and has written no line of the first cloud when it does
+    @pytest.mark.parametrize("column, value, message", [
+        (X, math.nan, "field 'x' is not finite"),
+        (SWEEP_INDEX, 0.5, "field 'sweep' must be an integer, got 0.5"),
+    ])
+    def test_points_writer_leaves_no_file_for_a_row_changed_after_the_cloud(self, tmp_path, column,
+                                                                            value, message):
+        # the cloud checked its rows when it was built; the writer checks them again with
+        # the cloud's rule, and has written no line of the first cloud when it refuses one
         late = PointCloud("g", np.zeros((3, 8)))
-        late.points[1, X] = math.nan
+        late.points[1, column] = value
         path = tmp_path / "out.jsonl"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             write_points_jsonl(path, [PointCloud("f", np.zeros((4, 8))), late])
+        assert str(info.value) == message
         assert not path.exists()
 
     @pytest.mark.parametrize("role, score, message", [
